@@ -130,6 +130,22 @@ func TestDMPresentBasics(t *testing.T) {
 	}
 }
 
+// TestDMPresentDigests pins DM-PRESENT digests, so that a faster
+// compression function cannot change the firmware fingerprints.
+func TestDMPresentDigests(t *testing.T) {
+	for in, want := range map[string]uint64{
+		"":         0x38ecbc2d963ae575,
+		"a":        0x8b1580e3bc20e879,
+		"abcdefgh": 0xceefdddb2a24ca0d,
+		"firmware image v1.2.3 for the smart bulb": 0x11ac22072d6a7aae,
+		string(make([]byte, 100)):                  0xbd7786925f984742,
+	} {
+		if got := Sum64([]byte(in)); got != want {
+			t.Errorf("Sum64(%q) = %#016x, want %#016x", in, got, want)
+		}
+	}
+}
+
 func TestDMPresentLengthStrengthening(t *testing.T) {
 	// Messages that are prefixes must not collide (padding includes the
 	// length, so "a" and "a\x00" differ).

@@ -44,13 +44,9 @@ func (d *DMPresent) BlockSize() int { return 8 }
 
 // compress absorbs one 8-byte message block: H' = E_{H || M}(M) xor M.
 func (d *DMPresent) compress(block []byte) {
-	var key [16]byte
-	binary.BigEndian.PutUint64(key[0:], d.h)
-	copy(key[8:], block)
-	blk := newPresent128(key[:])
-	var out [8]byte
-	blk.Encrypt(out[:], block)
-	d.h = binary.BigEndian.Uint64(out[:]) ^ binary.BigEndian.Uint64(block)
+	m := binary.BigEndian.Uint64(block)
+	c := present128(d.h, m)
+	d.h = c.encrypt(m) ^ m
 }
 
 func (d *DMPresent) Write(p []byte) (int, error) {

@@ -59,6 +59,20 @@ func katCases() []katCase {
 		{"PRESENT80/ones-ones", NewPRESENT,
 			"ffffffffffffffffffff",
 			"ffffffffffffffff", "3333dcd3213210d2"},
+		// PRESENT-128: the all-zero and all-one key/plaintext vectors
+		// published alongside the 128-bit key schedule.
+		{"PRESENT128/zero-zero", NewPRESENT,
+			"00000000000000000000000000000000",
+			"0000000000000000", "96db702a2e6900af"},
+		{"PRESENT128/zero-ones", NewPRESENT,
+			"00000000000000000000000000000000",
+			"ffffffffffffffff", "3c6019e5e5edd563"},
+		{"PRESENT128/ones-zero", NewPRESENT,
+			"ffffffffffffffffffffffffffffffff",
+			"0000000000000000", "13238c710272a5d8"},
+		{"PRESENT128/ones-ones", NewPRESENT,
+			"ffffffffffffffffffffffffffffffff",
+			"ffffffffffffffff", "628d9fbd4218e5b4"},
 		// DES: the classic FIPS-era textbook vector.
 		{"DES/classic", NewDES,
 			"133457799bbcdff1",

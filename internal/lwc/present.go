@@ -92,9 +92,13 @@ func newPresent80(key []byte) *present {
 }
 
 func newPresent128(key []byte) *present {
-	hi := binary.BigEndian.Uint64(key[0:8])
-	lo := binary.BigEndian.Uint64(key[8:16])
+	c := present128(binary.BigEndian.Uint64(key[0:8]), binary.BigEndian.Uint64(key[8:16]))
+	return &c
+}
 
+// present128 expands a 128-bit key, given as its high and low halves,
+// into a key schedule held by value.
+func present128(hi, lo uint64) present {
 	var c present
 	for r := 1; r <= presentRounds+1; r++ {
 		c.rk[r-1] = hi
@@ -114,7 +118,7 @@ func newPresent128(key []byte) *present {
 		hi ^= rc >> 2
 		lo ^= (rc & 3) << 62
 	}
-	return &c
+	return c
 }
 
 func (c *present) BlockSize() int { return 8 }
@@ -159,15 +163,32 @@ func buildPresentPermTabs() (fwd, inv [8][256]uint64) {
 	return fwd, inv
 }
 
-func presentPermute(s uint64) uint64 {
-	return presentPermTab[0][byte(s)] |
-		presentPermTab[1][byte(s>>8)] |
-		presentPermTab[2][byte(s>>16)] |
-		presentPermTab[3][byte(s>>24)] |
-		presentPermTab[4][byte(s>>32)] |
-		presentPermTab[5][byte(s>>40)] |
-		presentPermTab[6][byte(s>>48)] |
-		presentPermTab[7][byte(s>>56)]
+// presentSPTab fuses the S-box layer into the forward permutation
+// tables: lane l's entry for byte b is the permuted image of b with both
+// of its nibbles substituted. The S-box works nibble by nibble and the
+// permutation bit by bit, so a round's substitution and permutation is
+// 8 lookups OR-ed together.
+var presentSPTab = buildPresentSPTab()
+
+func buildPresentSPTab() (t [8][256]uint64) {
+	for lane := range t {
+		for b := range t[lane] {
+			sub := presentSBox[b>>4]<<4 | presentSBox[b&0xF]
+			t[lane][b] = presentPermTab[lane][sub]
+		}
+	}
+	return t
+}
+
+func presentSubPermute(s uint64) uint64 {
+	return presentSPTab[0][byte(s)] |
+		presentSPTab[1][byte(s>>8)] |
+		presentSPTab[2][byte(s>>16)] |
+		presentSPTab[3][byte(s>>24)] |
+		presentSPTab[4][byte(s>>32)] |
+		presentSPTab[5][byte(s>>40)] |
+		presentSPTab[6][byte(s>>48)] |
+		presentSPTab[7][byte(s>>56)]
 }
 
 func presentPermuteInv(s uint64) uint64 {
@@ -191,14 +212,14 @@ func presentSub(s uint64, box *[16]byte) uint64 {
 
 func (c *present) Encrypt(dst, src []byte) {
 	checkBlock("PRESENT", 8, dst, src)
-	s := binary.BigEndian.Uint64(src)
+	binary.BigEndian.PutUint64(dst, c.encrypt(binary.BigEndian.Uint64(src)))
+}
+
+func (c *present) encrypt(s uint64) uint64 {
 	for r := 0; r < presentRounds; r++ {
-		s ^= c.rk[r]
-		s = presentSub(s, &presentSBox)
-		s = presentPermute(s)
+		s = presentSubPermute(s ^ c.rk[r])
 	}
-	s ^= c.rk[presentRounds]
-	binary.BigEndian.PutUint64(dst, s)
+	return s ^ c.rk[presentRounds]
 }
 
 func (c *present) Decrypt(dst, src []byte) {

@@ -3,6 +3,7 @@ package service
 import (
 	"crypto/ed25519"
 	"fmt"
+	"sync"
 
 	"xlf/internal/lwc"
 )
@@ -26,8 +27,10 @@ type OTAImage struct {
 // OTAPipeline signs and dispatches updates.
 type OTAPipeline struct {
 	cloud *Cloud
-	pub   ed25519.PublicKey
-	priv  ed25519.PrivateKey
+	// keys derives the vendor keypair on first use. Most simulations
+	// never sign or verify an image, and the derivation is a large share
+	// of building a home.
+	keys func() (ed25519.PrivateKey, ed25519.PublicKey)
 	// Flash delivers a verified image to the physical device; installed
 	// by the testbed.
 	Flash func(deviceID string, img OTAImage) error
@@ -41,12 +44,19 @@ func NewOTAPipeline(cloud *Cloud, seed []byte) (*OTAPipeline, error) {
 	if len(seed) != ed25519.SeedSize {
 		return nil, fmt.Errorf("service: OTA seed must be %d bytes, got %d", ed25519.SeedSize, len(seed))
 	}
-	priv := ed25519.NewKeyFromSeed(seed)
-	return &OTAPipeline{cloud: cloud, priv: priv, pub: priv.Public().(ed25519.PublicKey)}, nil
+	seed = append([]byte(nil), seed...)
+	keys := sync.OnceValues(func() (ed25519.PrivateKey, ed25519.PublicKey) {
+		priv := ed25519.NewKeyFromSeed(seed)
+		return priv, priv.Public().(ed25519.PublicKey)
+	})
+	return &OTAPipeline{cloud: cloud, keys: keys}, nil
 }
 
 // VendorPublicKey returns the verification key devices pin.
-func (o *OTAPipeline) VendorPublicKey() ed25519.PublicKey { return o.pub }
+func (o *OTAPipeline) VendorPublicKey() ed25519.PublicKey {
+	_, pub := o.keys()
+	return pub
+}
 
 // Stats returns (imagesPushed, imagesRejected).
 func (o *OTAPipeline) Stats() (uint64, uint64) { return o.pushed, o.rejected }
@@ -58,7 +68,8 @@ func (o *OTAPipeline) Build(version string, data []byte) OTAImage {
 		Data:        append([]byte(nil), data...),
 		Fingerprint: lwc.Sum64(data),
 	}
-	img.Signature = ed25519.Sign(o.priv, img.Data)
+	priv, _ := o.keys()
+	img.Signature = ed25519.Sign(priv, img.Data)
 	return img
 }
 
@@ -86,7 +97,7 @@ func (o *OTAPipeline) Push(deviceID string, img OTAImage) error {
 		return ErrUnknownDevice
 	}
 	if !o.cloud.Flaws.OpenRedirectOTA {
-		if err := VerifyImage(o.pub, img); err != nil {
+		if err := VerifyImage(o.VendorPublicKey(), img); err != nil {
 			o.rejected++
 			return err
 		}

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"crypto/ed25519"
 	"errors"
 	"testing"
 	"time"
@@ -310,6 +311,21 @@ func TestOTASignedFlow(t *testing.T) {
 	_, rejected := ota.Stats()
 	if rejected != 2 {
 		t.Errorf("rejected = %d, want 2", rejected)
+	}
+}
+
+// TestOTAVendorKeyFromSeed pins the lazily derived vendor key to the
+// seed it was built from, even if the caller reuses the seed's buffer.
+func TestOTAVendorKeyFromSeed(t *testing.T) {
+	seed := bytes.Repeat([]byte{9}, 32)
+	want := ed25519.NewKeyFromSeed(seed).Public().(ed25519.PublicKey)
+	ota, err := NewOTAPipeline(newCloud(t, Flaws{}), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed[0] ^= 0xFF
+	if got := ota.VendorPublicKey(); !bytes.Equal(got, want) {
+		t.Errorf("vendor key = %x, want %x", got, want)
 	}
 }
 
