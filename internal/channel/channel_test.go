@@ -235,3 +235,54 @@ func TestSealOpenProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// benchSession returns a sender and receiver over LEA, the cipher every
+// device of the protected home negotiates, and a keepalive-sized payload.
+func benchSession(b *testing.B) (*Session, *Session, []byte) {
+	b.Helper()
+	info, _ := lwc.NewRegistry().Lookup("LEA")
+	key := bytes.Repeat([]byte{7}, 16)
+	tx, err := New(info, key)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rx, err := New(info, key)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tx, rx, []byte("keepalive:bulb-7")
+}
+
+// BenchmarkSessionSeal measures sealing one keepalive payload, what every
+// protected device does on each keepalive.
+func BenchmarkSessionSeal(b *testing.B) {
+	tx, _, msg := benchSession(b)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(msg)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tx.Seal(msg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSessionOpen measures the gateway side: verifying and
+// decrypting one sealed keepalive. The receiver's replay window is reset
+// before each Open so the same message stays acceptable.
+func BenchmarkSessionOpen(b *testing.B) {
+	tx, rx, msg := benchSession(b)
+	sealed, err := tx.Seal(msg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(msg)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rx.recvHigh = 0
+		if _, err := rx.Open(sealed); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

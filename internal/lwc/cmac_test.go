@@ -146,6 +146,24 @@ func TestDMPresentDigests(t *testing.T) {
 	}
 }
 
+// BenchmarkDMPresentSum measures one firmware fingerprint: a catalog
+// device's 16-byte image, as attestation hashes it, and a 1 KiB image.
+func BenchmarkDMPresentSum(b *testing.B) {
+	for _, n := range []int{16, 1024} {
+		img := bytes.Repeat([]byte{0xA5}, n)
+		b.Run(itoa(n)+"B", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(n))
+			for i := 0; i < b.N; i++ {
+				sinkSum = Sum64(img)
+			}
+		})
+	}
+}
+
+// sinkSum keeps BenchmarkDMPresentSum's hashing from being optimised away.
+var sinkSum uint64
+
 func TestDMPresentLengthStrengthening(t *testing.T) {
 	// Messages that are prefixes must not collide (padding includes the
 	// length, so "a" and "a\x00" differ).

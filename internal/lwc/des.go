@@ -3,6 +3,7 @@ package lwc
 import (
 	"crypto/cipher"
 	"encoding/binary"
+	"math/bits"
 )
 
 // This file implements DES (FIPS 46-3), Triple-DES (EDE), and DESL
@@ -148,14 +149,55 @@ func permute(src uint64, srcBits int, table []byte) uint64 {
 	return out
 }
 
+// The DES round function is computed from tables built once at package
+// initialisation from the spec tables above. Chunk b of the 48-bit
+// E-expansion of R is R's bits 4b..4b+5 (1-based, wrapping at 32), which
+// is the top six bits of R rotated left by 4b-1. Each SP table entry is
+// one S-box's output, for a 6-bit chunk with the row/column bit mapping
+// folded into its index, already moved by P to its output bits; the
+// round is eight lookups OR-ed together. IP and FP are applied a byte at
+// a time, each byte lane's table holding the permuted image of every
+// byte value.
+var (
+	desSP    = buildDESSP(func(b int) *[64]byte { return &desSBoxes[b] })
+	deslSP   = buildDESSP(func(int) *[64]byte { return &deslSBox })
+	desIPTab = buildDESPermTab(&desIP)
+	desFPTab = buildDESPermTab(&desFP)
+)
+
+func buildDESSP(box func(b int) *[64]byte) (t [8][64]uint32) {
+	for b := range t {
+		for v := range t[b] {
+			// Row = outer bits, column = middle four bits.
+			idx := v&0x20 | (v&1)<<4 | v>>1&0xF
+			s := uint64(box(b)[idx]) << uint(28-4*b)
+			t[b][v] = uint32(permute(s, 32, desP[:]))
+		}
+	}
+	return t
+}
+
+func buildDESPermTab(table *[64]byte) (t [8][256]uint64) {
+	for lane := range t {
+		for v := range t[lane] {
+			t[lane][v] = permute(uint64(v)<<uint(8*lane), 64, table[:])
+		}
+	}
+	return t
+}
+
+func desPermute(t *[8][256]uint64, v uint64) uint64 {
+	return t[0][byte(v)] | t[1][byte(v>>8)] | t[2][byte(v>>16)] | t[3][byte(v>>24)] |
+		t[4][byte(v>>32)] | t[5][byte(v>>40)] | t[6][byte(v>>48)] | t[7][byte(v>>56)]
+}
+
 type desCipher struct {
 	subkeys [16]uint64 // 48-bit round keys
 	// useIPFP selects the classic DES initial/final permutations; DESL
 	// omits them.
 	useIPFP bool
-	// sbox returns the S-box output for box index b (0..7) and 6-bit
-	// input v.
-	sbox func(b int, v byte) byte
+	// sp is the fused S-box and P table: desSP, or deslSP for DESL.
+	sp *[8][64]uint32
 }
 
 var _ cipher.Block = (*desCipher)(nil)
@@ -168,9 +210,13 @@ func NewDES(key []byte) (cipher.Block, error) {
 	if len(key) != 8 {
 		return nil, KeySizeError{Algorithm: "DES", Len: len(key)}
 	}
-	c := &desCipher{useIPFP: true, sbox: func(b int, v byte) byte { return desSBoxes[b][v] }}
+	return newDES(key), nil
+}
+
+func newDES(key []byte) *desCipher {
+	c := &desCipher{useIPFP: true, sp: &desSP}
 	c.expandKey(key)
-	return c, nil
+	return c
 }
 
 // NewDESL returns DESL: DES with a single strengthened S-box and without
@@ -179,7 +225,7 @@ func NewDESL(key []byte) (cipher.Block, error) {
 	if len(key) != 8 {
 		return nil, KeySizeError{Algorithm: "DESL", Len: len(key)}
 	}
-	c := &desCipher{useIPFP: false, sbox: func(b int, v byte) byte { return deslSBox[v] }}
+	c := &desCipher{useIPFP: false, sp: &deslSP}
 	c.expandKey(key)
 	return c, nil
 }
@@ -202,15 +248,31 @@ func (c *desCipher) expandKey(key []byte) {
 // feistel is the DES round function: expand R to 48 bits, XOR the subkey,
 // apply the S-boxes, then the P permutation.
 func (c *desCipher) feistel(r uint32, k uint64) uint32 {
-	e := permute(uint64(r), 32, desE[:]) ^ k
-	var s uint32
-	for b := 0; b < 8; b++ {
-		v := byte(e >> uint(42-6*b) & 0x3F)
-		// Row = outer bits, column = middle four bits.
-		idx := v&0x20 | (v&1)<<4 | v>>1&0xF
-		s = s<<4 | uint32(c.sbox(b, idx))
+	sp := c.sp
+	return sp[0][(bits.RotateLeft32(r, -1)>>26^uint32(k>>42))&0x3F] |
+		sp[1][(bits.RotateLeft32(r, 3)>>26^uint32(k>>36))&0x3F] |
+		sp[2][(bits.RotateLeft32(r, 7)>>26^uint32(k>>30))&0x3F] |
+		sp[3][(bits.RotateLeft32(r, 11)>>26^uint32(k>>24))&0x3F] |
+		sp[4][(bits.RotateLeft32(r, 15)>>26^uint32(k>>18))&0x3F] |
+		sp[5][(bits.RotateLeft32(r, 19)>>26^uint32(k>>12))&0x3F] |
+		sp[6][(bits.RotateLeft32(r, 23)>>26^uint32(k>>6))&0x3F] |
+		sp[7][(bits.RotateLeft32(r, 27)>>26^uint32(k))&0x3F]
+}
+
+// rounds runs the 16 Feistel rounds on a block (after IP, for DES) and
+// returns it with the last round's halves exchanged.
+func (c *desCipher) rounds(v uint64, decrypt bool) uint64 {
+	l, r := uint32(v>>32), uint32(v)
+	if decrypt {
+		for i := 15; i >= 0; i-- {
+			l, r = r, l^c.feistel(r, c.subkeys[i])
+		}
+	} else {
+		for i := 0; i < 16; i++ {
+			l, r = r, l^c.feistel(r, c.subkeys[i])
+		}
 	}
-	return uint32(permute(uint64(s), 32, desP[:]))
+	return uint64(r)<<32 | uint64(l)
 }
 
 func (c *desCipher) BlockSize() int { return 8 }
@@ -218,20 +280,11 @@ func (c *desCipher) BlockSize() int { return 8 }
 func (c *desCipher) crypt(dst, src []byte, decrypt bool) {
 	v := binary.BigEndian.Uint64(src)
 	if c.useIPFP {
-		v = permute(v, 64, desIP[:])
+		v = desPermute(&desIPTab, v)
 	}
-	l, r := uint32(v>>32), uint32(v)
-	for i := 0; i < 16; i++ {
-		k := c.subkeys[i]
-		if decrypt {
-			k = c.subkeys[15-i]
-		}
-		l, r = r, l^c.feistel(r, k)
-	}
-	// Final swap: the last round's halves are exchanged.
-	v = uint64(r)<<32 | uint64(l)
+	v = c.rounds(v, decrypt)
 	if c.useIPFP {
-		v = permute(v, 64, desFP[:])
+		v = desPermute(&desFPTab, v)
 	}
 	binary.BigEndian.PutUint64(dst, v)
 }
@@ -247,7 +300,7 @@ func (c *desCipher) Decrypt(dst, src []byte) {
 }
 
 type tripleDES struct {
-	c1, c2, c3 cipher.Block
+	c1, c2, c3 *desCipher
 }
 
 var _ cipher.Block = (*tripleDES)(nil)
@@ -255,44 +308,30 @@ var _ cipher.Block = (*tripleDES)(nil)
 // NewTripleDES returns DES-EDE with a 16-byte (two-key, K3=K1) or 24-byte
 // (three-key) key.
 func NewTripleDES(key []byte) (cipher.Block, error) {
-	var k1, k2, k3 []byte
 	switch len(key) {
 	case 16:
-		k1, k2, k3 = key[0:8], key[8:16], key[0:8]
+		return &tripleDES{c1: newDES(key[0:8]), c2: newDES(key[8:16]), c3: newDES(key[0:8])}, nil
 	case 24:
-		k1, k2, k3 = key[0:8], key[8:16], key[16:24]
+		return &tripleDES{c1: newDES(key[0:8]), c2: newDES(key[8:16]), c3: newDES(key[16:24])}, nil
 	default:
 		return nil, KeySizeError{Algorithm: "3DES", Len: len(key)}
 	}
-	c1, err := NewDES(k1)
-	if err != nil {
-		return nil, err
-	}
-	c2, err := NewDES(k2)
-	if err != nil {
-		return nil, err
-	}
-	c3, err := NewDES(k3)
-	if err != nil {
-		return nil, err
-	}
-	return &tripleDES{c1: c1, c2: c2, c3: c3}, nil
 }
 
 func (t *tripleDES) BlockSize() int { return 8 }
 
+// Encrypt and Decrypt apply IP once and FP once: between two DES stages
+// the first stage's FP and the second's IP cancel.
 func (t *tripleDES) Encrypt(dst, src []byte) {
 	checkBlock("3DES", 8, dst, src)
-	var tmp [8]byte
-	t.c1.Encrypt(tmp[:], src)
-	t.c2.Decrypt(tmp[:], tmp[:])
-	t.c3.Encrypt(dst, tmp[:])
+	v := desPermute(&desIPTab, binary.BigEndian.Uint64(src))
+	v = t.c3.rounds(t.c2.rounds(t.c1.rounds(v, false), true), false)
+	binary.BigEndian.PutUint64(dst, desPermute(&desFPTab, v))
 }
 
 func (t *tripleDES) Decrypt(dst, src []byte) {
 	checkBlock("3DES", 8, dst, src)
-	var tmp [8]byte
-	t.c3.Decrypt(tmp[:], src)
-	t.c2.Encrypt(tmp[:], tmp[:])
-	t.c1.Decrypt(dst, tmp[:])
+	v := desPermute(&desIPTab, binary.BigEndian.Uint64(src))
+	v = t.c1.rounds(t.c2.rounds(t.c3.rounds(v, true), false), true)
+	binary.BigEndian.PutUint64(dst, desPermute(&desFPTab, v))
 }

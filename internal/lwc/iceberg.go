@@ -47,8 +47,41 @@ var icebergPerm = func() [64]byte {
 	return p
 }()
 
+// icebergSPTab fuses the S-layer into the P-layer: lane l's entry for
+// byte b is the P-image of b with both of its nibbles substituted, placed
+// at lane l. S(0) is not 0, so each entry substitutes only its own byte;
+// a round's S- and P-layer is 8 lookups OR-ed together. Built once at
+// package initialisation and immutable afterwards.
+var (
+	icebergSubTab = nibbleSubTab(&icebergSBox)
+	icebergSPTab  = buildIcebergSPTab()
+)
+
+func buildIcebergSPTab() (t [8][256]uint64) {
+	for lane := range t {
+		for b := range t[lane] {
+			t[lane][b] = icebergPermute(uint64(icebergSubTab[b]) << uint(8*lane))
+		}
+	}
+	return t
+}
+
+func icebergSubPermute(s uint64) uint64 {
+	return icebergSPTab[0][byte(s)] |
+		icebergSPTab[1][byte(s>>8)] |
+		icebergSPTab[2][byte(s>>16)] |
+		icebergSPTab[3][byte(s>>24)] |
+		icebergSPTab[4][byte(s>>32)] |
+		icebergSPTab[5][byte(s>>40)] |
+		icebergSPTab[6][byte(s>>48)] |
+		icebergSPTab[7][byte(s>>56)]
+}
+
 type iceberg struct {
 	rk [icebergRounds + 1]uint64
+	// prk holds P(rk[r]), the round keys moved into the P-layer's output
+	// domain, in which Decrypt runs.
+	prk [icebergRounds + 1]uint64
 }
 
 var _ cipher.Block = (*iceberg)(nil)
@@ -74,6 +107,7 @@ func NewIceberg(key []byte) (cipher.Block, error) {
 		nh := hi<<13 | lo>>51
 		nl := lo<<13 | hi>>51
 		hi, lo = nh, nl
+		c.prk[r] = icebergPermute(c.rk[r])
 	}
 	return &c, nil
 }
@@ -100,24 +134,22 @@ func (c *iceberg) Encrypt(dst, src []byte) {
 	checkBlock("Iceberg", 8, dst, src)
 	s := binary.BigEndian.Uint64(src)
 	for r := 0; r < icebergRounds; r++ {
-		s ^= c.rk[r]
-		s = icebergSub(s)
-		s = icebergPermute(s)
+		s = icebergSubPermute(s ^ c.rk[r])
 	}
 	s ^= c.rk[icebergRounds]
 	binary.BigEndian.PutUint64(dst, s)
 }
 
+// Decrypt applies the rounds in reverse: both layers are involutions, so
+// round r undoes as s = S(P(s)) ^ rk[r]. Tracked through y = P(s), that
+// is y = SP(y) ^ P(rk[r]), one fused-table round; P(s) itself is SP(S(s))
+// because S is an involution.
 func (c *iceberg) Decrypt(dst, src []byte) {
 	checkBlock("Iceberg", 8, dst, src)
 	s := binary.BigEndian.Uint64(src)
-	s ^= c.rk[icebergRounds]
+	y := icebergSubPermute(subBytes(&icebergSubTab, s)) ^ c.prk[icebergRounds]
 	for r := icebergRounds - 1; r >= 0; r-- {
-		// Both the S-layer and the P-layer are involutions, so decryption
-		// applies the same layers in reverse order.
-		s = icebergPermute(s)
-		s = icebergSub(s)
-		s ^= c.rk[r]
+		y = icebergSubPermute(y) ^ c.prk[r]
 	}
-	binary.BigEndian.PutUint64(dst, s)
+	binary.BigEndian.PutUint64(dst, icebergSubPermute(subBytes(&icebergSubTab, y)))
 }

@@ -9,12 +9,15 @@
 // device-layer feasibility model: XLF's device layer picks the strongest
 // cipher a device's cycle budget can afford.
 //
-// Implementation fidelity: AES, DES, 3DES, DESL, TEA, XTEA, RC5, PRESENT,
-// HIGHT and LEA are implemented from their published specifications and
-// carry known-answer tests. SEED, TWINE, PRIDE, ICEBERG and Hummingbird-2
-// are structure-faithful reimplementations (correct block/key sizes, round
-// structure, and design family per Table III) validated by round-trip,
-// key-sensitivity and avalanche property tests; see DESIGN.md.
+// Implementation fidelity: AES, DES, 3DES, TEA, XTEA, RC5, PRESENT, HIGHT
+// and LEA are implemented from their published specifications and checked
+// against published known-answer tests or the standard library (AES is
+// crypto/aes; DES and 3DES are cross-checked against crypto/des). DESL
+// uses its published S-box but has no published vectors. SEED, TWINE,
+// PRIDE, ICEBERG and Hummingbird-2 are structure-faithful
+// reimplementations (correct block/key sizes, round structure, and design
+// family per Table III) validated by round-trip, key-sensitivity and
+// avalanche property tests; see DESIGN.md.
 package lwc
 
 import (

@@ -22,6 +22,23 @@ func invert4(s [16]byte) [16]byte {
 	return inv
 }
 
+// nibbleSubTab returns the byte-wide table of a 4-bit S-box: entry b is b
+// with both of its nibbles substituted.
+func nibbleSubTab(box *[16]byte) (t [256]byte) {
+	for b := range t {
+		t[b] = box[b>>4]<<4 | box[b&0xF]
+	}
+	return t
+}
+
+// subBytes replaces each byte of s by its entry in t.
+func subBytes(t *[256]byte, s uint64) uint64 {
+	return uint64(t[byte(s)]) | uint64(t[byte(s>>8)])<<8 |
+		uint64(t[byte(s>>16)])<<16 | uint64(t[byte(s>>24)])<<24 |
+		uint64(t[byte(s>>32)])<<32 | uint64(t[byte(s>>40)])<<40 |
+		uint64(t[byte(s>>48)])<<48 | uint64(t[byte(s>>56)])<<56
+}
+
 const presentRounds = 31
 
 // rotl80 rotates an 80-bit value left by n bits. The value is represented

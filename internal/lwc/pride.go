@@ -27,6 +27,9 @@ const prideRounds = 20
 type pride struct {
 	k0 uint64              // whitening key
 	rk [prideRounds]uint64 // round keys
+	// lrk holds L^-1(rk[r]), the round keys moved into the domain in
+	// which Decrypt runs.
+	lrk [prideRounds]uint64
 }
 
 var _ cipher.Block = (*pride)(nil)
@@ -49,20 +52,12 @@ func NewPride(key []byte) (cipher.Block, error) {
 		kr[5] += 0x51 * i
 		kr[7] += 0xC5 * i
 		c.rk[r] = binary.BigEndian.Uint64(kr[:])
+		c.lrk[r] = prideLinearInv(c.rk[r])
 	}
 	return &c, nil
 }
 
 func (c *pride) BlockSize() int { return 8 }
-
-// prideSub applies the 4-bit S-box to all 16 nibbles.
-func prideSub(s uint64, box *[16]byte) uint64 {
-	var out uint64
-	for i := 0; i < 16; i++ {
-		out |= uint64(box[s>>uint(4*i)&0xF]) << uint(4*i)
-	}
-	return out
-}
 
 // prideRotations are the per-16-bit-word mixing rotations of the
 // substituted linear layer (invertible by construction).
@@ -201,30 +196,57 @@ func invertLinear16(f func(uint16) uint16) linear16 {
 	return inv
 }
 
+// PRIDE's rounds are computed from tables built once at package
+// initialisation. The linear layer L and its inverse are linear over
+// GF(2), so each maps the XOR of its 8 byte lanes to the XOR of their
+// images, and the 4-bit S-box works inside a byte. A fused table's lane
+// l entry for byte b is therefore the L-image of b with both of its
+// nibbles substituted, placed at lane l: prideEncTab fuses S with L,
+// prideDecTab fuses S^-1 with L^-1. The S-only byte tables serve the
+// round without a linear layer.
+var (
+	prideSubTab, prideSubInvTab = nibbleSubTab(&prideSBox), nibbleSubTab(&prideSBoxInv)
+	prideEncTab                 = buildPrideTab(&prideSubTab, prideLinear)
+	prideDecTab                 = buildPrideTab(&prideSubInvTab, prideLinearInv)
+)
+
+func buildPrideTab(sub *[256]byte, linear func(uint64) uint64) (t [8][256]uint64) {
+	for lane := range t {
+		for b := range t[lane] {
+			t[lane][b] = linear(uint64(sub[b]) << uint(8*lane))
+		}
+	}
+	return t
+}
+
+func prideRound(t *[8][256]uint64, s uint64) uint64 {
+	return t[0][byte(s)] ^ t[1][byte(s>>8)] ^ t[2][byte(s>>16)] ^ t[3][byte(s>>24)] ^
+		t[4][byte(s>>32)] ^ t[5][byte(s>>40)] ^ t[6][byte(s>>48)] ^ t[7][byte(s>>56)]
+}
+
 func (c *pride) Encrypt(dst, src []byte) {
 	checkBlock("Pride", 8, dst, src)
 	s := binary.BigEndian.Uint64(src) ^ c.k0
-	for r := 0; r < prideRounds; r++ {
-		s ^= c.rk[r]
-		s = prideSub(s, &prideSBox)
-		if r != prideRounds-1 { // the last round omits the linear layer
-			s = prideLinear(s)
-		}
+	for r := 0; r < prideRounds-1; r++ {
+		s = prideRound(&prideEncTab, s^c.rk[r])
 	}
+	// The last round omits the linear layer.
+	s = subBytes(&prideSubTab, s^c.rk[prideRounds-1])
 	s ^= c.k0
 	binary.BigEndian.PutUint64(dst, s)
 }
 
+// Decrypt undoes round r < 19 as s = S^-1(L^-1(s)) ^ rk[r]. Tracked
+// through u = L^-1(s), that is u = L^-1(S^-1(u)) ^ L^-1(rk[r]), one
+// fused-table round.
 func (c *pride) Decrypt(dst, src []byte) {
 	checkBlock("Pride", 8, dst, src)
 	s := binary.BigEndian.Uint64(src) ^ c.k0
-	for r := prideRounds - 1; r >= 0; r-- {
-		if r != prideRounds-1 {
-			s = prideLinearInv(s)
-		}
-		s = prideSub(s, &prideSBoxInv)
-		s ^= c.rk[r]
+	u := prideRound(&prideDecTab, s) ^ c.lrk[prideRounds-1]
+	for r := prideRounds - 2; r > 0; r-- {
+		u = prideRound(&prideDecTab, u) ^ c.lrk[r]
 	}
+	s = subBytes(&prideSubInvTab, u) ^ c.rk[0]
 	s ^= c.k0
 	binary.BigEndian.PutUint64(dst, s)
 }

@@ -2,6 +2,7 @@ package lwc
 
 import (
 	"bytes"
+	"crypto/cipher"
 	stddes "crypto/des"
 	"math/rand"
 	"testing"
@@ -180,10 +181,25 @@ func popcount8(b byte) int {
 	return n
 }
 
+// matchesStdlib reports whether ours and ref agree on Encrypt and on
+// Decrypt of one block.
+func matchesStdlib(ours, ref cipher.Block, blk []byte) bool {
+	a := make([]byte, 8)
+	b := make([]byte, 8)
+	ours.Encrypt(a, blk)
+	ref.Encrypt(b, blk)
+	if !bytes.Equal(a, b) {
+		return false
+	}
+	ours.Decrypt(a, blk)
+	ref.Decrypt(b, blk)
+	return bytes.Equal(a, b)
+}
+
 // TestDESMatchesStdlib cross-checks the from-scratch DES and 3DES against
-// crypto/des over random keys and blocks.
+// crypto/des over random keys and blocks, in both directions.
 func TestDESMatchesStdlib(t *testing.T) {
-	f := func(key [8]byte, pt [8]byte) bool {
+	f := func(key [8]byte, blk [8]byte) bool {
 		ours, err := NewDES(key[:])
 		if err != nil {
 			return false
@@ -192,19 +208,17 @@ func TestDESMatchesStdlib(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		a := make([]byte, 8)
-		b := make([]byte, 8)
-		ours.Encrypt(a, pt[:])
-		ref.Encrypt(b, pt[:])
-		return bytes.Equal(a, b)
+		return matchesStdlib(ours, ref, blk[:])
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
 
+// TestTripleDESMatchesStdlib covers three-key keys and two-key keys
+// (K3 = K1, which crypto/des takes as the 24-byte key K1||K2||K1).
 func TestTripleDESMatchesStdlib(t *testing.T) {
-	f := func(key [24]byte, pt [8]byte) bool {
+	f := func(key [24]byte, blk [8]byte) bool {
 		ours, err := NewTripleDES(key[:])
 		if err != nil {
 			return false
@@ -213,11 +227,18 @@ func TestTripleDESMatchesStdlib(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		a := make([]byte, 8)
-		b := make([]byte, 8)
-		ours.Encrypt(a, pt[:])
-		ref.Encrypt(b, pt[:])
-		return bytes.Equal(a, b)
+		if !matchesStdlib(ours, ref, blk[:]) {
+			return false
+		}
+		ours2, err := NewTripleDES(key[:16])
+		if err != nil {
+			return false
+		}
+		ref2, err := stddes.NewTripleDESCipher(append(key[:16:16], key[:8]...))
+		if err != nil {
+			return false
+		}
+		return matchesStdlib(ours2, ref2, blk[:])
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

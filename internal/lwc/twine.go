@@ -1,6 +1,9 @@
 package lwc
 
-import "crypto/cipher"
+import (
+	"crypto/cipher"
+	"encoding/binary"
+)
 
 // TWINE (Suzaki et al., SAC 2012) is a 64-bit block cipher with 80- or
 // 128-bit keys, built as a 16-branch Type-2 generalized Feistel network
@@ -31,8 +34,61 @@ func invert16(p [16]byte) [16]byte {
 
 const twineRounds = 36
 
+// TWINE's state is a uint64 holding nibble x[i] at bits 60-4i. A round
+// XORs S(x[2j]^k[j]) into x[2j+1] for j = 0..7 and then moves nibble i to
+// position twineShuffle[i]. Each byte of the state is one (x[2j], x[2j+1])
+// pair, so the round is computed from tables built once at package
+// initialisation: twineFTab maps byte b = (hi, lo) to (hi, lo^S(hi)),
+// and byte lane j's entry in a round table is that image with its two
+// nibbles moved by the shuffle. The round key is packed into the even
+// nibbles, so XORing it into the state before the lookups feeds
+// x[2j]^k[j] to the S-box; XORing its shuffled copy afterwards restores
+// x[2j]. twineEncTab shuffles forwards, twineDecTab backwards.
+var (
+	twineFTab   = buildTWINEFTab()
+	twineEncTab = buildTWINETab(&twineShuffle)
+	twineDecTab = buildTWINETab(&twineShuffleInv)
+)
+
+func buildTWINEFTab() (t [256]byte) {
+	for b := range t {
+		t[b] = byte(b) ^ twineSBox[b>>4]
+	}
+	return t
+}
+
+func buildTWINETab(pi *[16]byte) (t [8][256]uint64) {
+	for j := range t {
+		for b := range t[j] {
+			t[j][b] = twineShuffleNibbles(pi, uint64(twineFTab[b])<<uint(56-8*j))
+		}
+	}
+	return t
+}
+
+// twineShuffleNibbles moves nibble i of x to position pi[i].
+func twineShuffleNibbles(pi *[16]byte, x uint64) uint64 {
+	var y uint64
+	for i, p := range pi {
+		y |= (x >> uint(60-4*i) & 0xF) << uint(60-4*int(p))
+	}
+	return y
+}
+
+func twineRound(t *[8][256]uint64, s uint64) uint64 {
+	return t[0][byte(s>>56)] | t[1][byte(s>>48)] | t[2][byte(s>>40)] | t[3][byte(s>>32)] |
+		t[4][byte(s>>24)] | t[5][byte(s>>16)] | t[6][byte(s>>8)] | t[7][byte(s)]
+}
+
+// twineF applies a round's F functions without the shuffle.
+func twineF(s, k uint64) uint64 {
+	return subBytes(&twineFTab, s^k) ^ k
+}
+
 type twine struct {
-	rk [twineRounds][8]byte // 8 nibble round keys per round
+	rk  [twineRounds]uint64 // round keys packed into the even nibbles
+	erk [twineRounds]uint64 // rk shuffled forwards, for Encrypt
+	drk [twineRounds]uint64 // rk shuffled backwards, for Decrypt
 }
 
 var _ cipher.Block = (*twine)(nil)
@@ -65,8 +121,10 @@ func NewTWINE(key []byte) (cipher.Block, error) {
 	for r := 0; r < twineRounds; r++ {
 		// Extract 8 round-key nibbles at fixed even positions.
 		for j := 0; j < 8; j++ {
-			c.rk[r][j] = reg[(2*j+1)%n]
+			c.rk[r] |= uint64(reg[(2*j+1)%n]) << uint(60-8*j)
 		}
+		c.erk[r] = twineShuffleNibbles(&twineShuffle, c.rk[r])
+		c.drk[r] = twineShuffleNibbles(&twineShuffleInv, c.rk[r])
 		// Inject round constant and S-box feedback, then rotate.
 		rc := nextCon()
 		reg[1] ^= twineSBox[reg[0]]
@@ -86,53 +144,21 @@ func NewTWINE(key []byte) (cipher.Block, error) {
 
 func (c *twine) BlockSize() int { return 8 }
 
-func toNibbles(src []byte) [16]byte {
-	var x [16]byte
-	for i := 0; i < 8; i++ {
-		x[2*i] = src[i] >> 4
-		x[2*i+1] = src[i] & 0xF
-	}
-	return x
-}
-
-func fromNibbles(dst []byte, x [16]byte) {
-	for i := 0; i < 8; i++ {
-		dst[i] = x[2*i]<<4 | x[2*i+1]
-	}
-}
-
 func (c *twine) Encrypt(dst, src []byte) {
 	checkBlock("TWINE", 8, dst, src)
-	x := toNibbles(src)
-	for r := 0; r < twineRounds; r++ {
-		for j := 0; j < 8; j++ {
-			x[2*j+1] ^= twineSBox[x[2*j]^c.rk[r][j]]
-		}
-		if r != twineRounds-1 {
-			var y [16]byte
-			for i := 0; i < 16; i++ {
-				y[twineShuffle[i]] = x[i]
-			}
-			x = y
-		}
+	s := binary.BigEndian.Uint64(src)
+	for r := 0; r < twineRounds-1; r++ {
+		s = twineRound(&twineEncTab, s^c.rk[r]) ^ c.erk[r]
 	}
-	fromNibbles(dst, x)
+	// The last round omits the shuffle.
+	binary.BigEndian.PutUint64(dst, twineF(s, c.rk[twineRounds-1]))
 }
 
 func (c *twine) Decrypt(dst, src []byte) {
 	checkBlock("TWINE", 8, dst, src)
-	x := toNibbles(src)
-	for r := twineRounds - 1; r >= 0; r-- {
-		for j := 0; j < 8; j++ {
-			x[2*j+1] ^= twineSBox[x[2*j]^c.rk[r][j]]
-		}
-		if r != 0 {
-			var y [16]byte
-			for i := 0; i < 16; i++ {
-				y[twineShuffleInv[i]] = x[i]
-			}
-			x = y
-		}
+	s := binary.BigEndian.Uint64(src)
+	for r := twineRounds - 1; r > 0; r-- {
+		s = twineRound(&twineDecTab, s^c.rk[r]) ^ c.drk[r]
 	}
-	fromNibbles(dst, x)
+	binary.BigEndian.PutUint64(dst, twineF(s, c.rk[0]))
 }
