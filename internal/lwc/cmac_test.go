@@ -3,6 +3,9 @@ package lwc
 import (
 	"bytes"
 	"crypto/aes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 )
@@ -184,5 +187,77 @@ func TestDMPresentDistinguishes(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCMACReuseMatchesFresh runs one CMAC through Reset/Write/Sum for
+// messages whose final block alternates between full and partial, split
+// across two writes, and checks every tag (and a repeated Sum) against a
+// fresh NewCMAC per message. A Sum that reuses its padding buffer without
+// clearing it first fails here.
+func TestCMACReuseMatchesFresh(t *testing.T) {
+	for _, name := range []string{"PRESENT", "AES"} {
+		info, _ := NewRegistry().Lookup(name)
+		blk, err := info.New(digestKey(info.DefaultKeyBits()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bs := blk.BlockSize()
+		reused, err := NewCMAC(blk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, n := range []int{2 * bs, 3, bs, 1, 0, bs + 5, 4 * bs, bs - 1, 2*bs + 1} {
+			msg := make([]byte, n)
+			for j := range msg {
+				msg[j] = byte(i*31 + j*7 + 1)
+			}
+			fresh, err := NewCMAC(blk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh.Write(msg)
+			want := fresh.Sum(nil)
+
+			reused.Reset()
+			reused.Write(msg[:n/3])
+			reused.Write(msg[n/3:])
+			if got := reused.Sum(nil); !bytes.Equal(got, want) {
+				t.Errorf("%s msg %d (%d B): reused CMAC = %x, fresh = %x", name, i, n, got, want)
+			}
+			if got := reused.Sum([]byte{0xEE}); !bytes.Equal(got[1:], want) || got[0] != 0xEE {
+				t.Errorf("%s msg %d (%d B): repeated Sum = %x, want ee%x", name, i, n, got, want)
+			}
+		}
+	}
+}
+
+// TestDMPresentSplitMatchesOneShot writes every message of length 0..40
+// in two pieces split at every point, with a Sum in between, and checks
+// the digest against one-shot Sum64. dmSplitDigest pins those 41 one-shot
+// digests as recorded before Write compressed straight from its input.
+func TestDMPresentSplitMatchesOneShot(t *testing.T) {
+	const dmSplitDigest = "0f85e38fe60c32bb7814561e6361309d80e46b87583ff4440f53241c0abfaa79"
+	h := sha256.New()
+	d := NewDMPresent()
+	for n := 0; n <= 40; n++ {
+		msg := make([]byte, n)
+		for i := range msg {
+			msg[i] = byte(n*13 + i*5)
+		}
+		want := Sum64(msg)
+		h.Write(binary.BigEndian.AppendUint64(nil, want))
+		for cut := 0; cut <= n; cut++ {
+			d.Reset()
+			d.Write(msg[:cut])
+			d.Sum(nil)
+			d.Write(msg[cut:])
+			if got := binary.BigEndian.Uint64(d.Sum(nil)); got != want {
+				t.Fatalf("len %d split at %d: %#016x, want %#016x", n, cut, got, want)
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != dmSplitDigest {
+		t.Errorf("one-shot digest transcript = %s, want %s", got, dmSplitDigest)
 	}
 }
