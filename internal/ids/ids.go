@@ -45,13 +45,55 @@ type ScanDetector struct {
 	// FanOut is the distinct-target threshold.
 	FanOut int
 
-	touched map[netsim.Addr][]targetSeen
+	touched map[netsim.Addr]*scanWindow
 	alerted map[netsim.Addr]time.Duration
+}
+
+// scanTarget is one (destination, port) pair a source touched.
+type scanTarget struct {
+	dst  netsim.Addr
+	port int
 }
 
 type targetSeen struct {
 	t      time.Duration
-	target string
+	target scanTarget
+}
+
+// scanWindow is one source's sliding window: its touches in arrival order
+// from head on, and a multiset counting the live touches of each distinct
+// target, so the distinct count is the multiset's size.
+type scanWindow struct {
+	seen   []targetSeen
+	head   int
+	counts map[scanTarget]int
+}
+
+// push appends a touch to the window.
+func (w *scanWindow) push(s targetSeen) {
+	w.seen = append(w.seen, s)
+	w.counts[s.target]++
+}
+
+// evictBefore drops touches from the front while they are older than cut.
+// Like the arrival-order slice it replaces, it stops at the first touch
+// that is not, even if an out-of-order touch behind it is.
+func (w *scanWindow) evictBefore(cut time.Duration) {
+	for w.head < len(w.seen) && w.seen[w.head].t < cut {
+		tgt := w.seen[w.head].target
+		if w.counts[tgt]--; w.counts[tgt] == 0 {
+			delete(w.counts, tgt)
+		}
+		w.head++
+	}
+	// Compact once the dead prefix is half the slice: amortised O(1) per
+	// touch, and the backing array is reused instead of regrown.
+	if w.head > 0 && 2*w.head >= len(w.seen) {
+		n := copy(w.seen, w.seen[w.head:])
+		clear(w.seen[n:])
+		w.seen = w.seen[:n]
+		w.head = 0
+	}
 }
 
 var _ Detector = (*ScanDetector)(nil)
@@ -62,7 +104,7 @@ func NewScanDetector(window time.Duration, fanOut int) *ScanDetector {
 	return &ScanDetector{
 		Window:  window,
 		FanOut:  fanOut,
-		touched: make(map[netsim.Addr][]targetSeen),
+		touched: make(map[netsim.Addr]*scanWindow),
 		alerted: make(map[netsim.Addr]time.Duration),
 	}
 }
@@ -72,21 +114,16 @@ func (d *ScanDetector) Name() string { return "scan" }
 
 // Process implements Detector.
 func (d *ScanDetector) Process(rec netsim.PacketRecord) []Alert {
-	key := fmt.Sprintf("%s:%d", rec.Dst, rec.DstPort)
-	hist := append(d.touched[rec.Src], targetSeen{t: rec.Time, target: key})
-	// Evict outside the window.
-	cut := 0
-	for cut < len(hist) && hist[cut].t < rec.Time-d.Window {
-		cut++
+	w := d.touched[rec.Src]
+	if w == nil {
+		w = &scanWindow{counts: make(map[scanTarget]int)}
+		d.touched[rec.Src] = w
 	}
-	hist = hist[cut:]
-	d.touched[rec.Src] = hist
+	w.push(targetSeen{t: rec.Time, target: scanTarget{dst: rec.Dst, port: rec.DstPort}})
+	w.evictBefore(rec.Time - d.Window)
 
-	distinct := make(map[string]struct{}, len(hist))
-	for _, h := range hist {
-		distinct[h.target] = struct{}{}
-	}
-	if len(distinct) < d.FanOut {
+	distinct := len(w.counts)
+	if distinct < d.FanOut {
 		return nil
 	}
 	// Rate-limit: one alert per source per window.
@@ -94,10 +131,10 @@ func (d *ScanDetector) Process(rec netsim.PacketRecord) []Alert {
 		return nil
 	}
 	d.alerted[rec.Src] = rec.Time
-	conf := math.Min(1, float64(len(distinct))/float64(2*d.FanOut))
+	conf := math.Min(1, float64(distinct)/float64(2*d.FanOut))
 	return []Alert{{
 		Time: rec.Time, Detector: d.Name(), Src: rec.Src, Dst: rec.Dst,
-		Detail:     fmt.Sprintf("%d distinct targets in %s", len(distinct), d.Window),
+		Detail:     fmt.Sprintf("%d distinct targets in %s", distinct, d.Window),
 		Confidence: math.Max(conf, 0.5),
 	}}
 }
@@ -140,9 +177,14 @@ func (d *FloodDetector) Name() string { return "ddos-flood" }
 // Process implements Detector.
 func (d *FloodDetector) Process(rec netsim.PacketRecord) []Alert {
 	b := d.bins[rec.Dst]
-	if b == nil || rec.Time-b.start >= d.Bin {
+	switch {
+	case b == nil:
 		b = &floodBin{start: rec.Time, sources: make(map[netsim.Addr]struct{})}
 		d.bins[rec.Dst] = b
+	case rec.Time-b.start >= d.Bin:
+		// A new bin reuses the destination's bin and source set.
+		b.start, b.count = rec.Time, 0
+		clear(b.sources)
 	}
 	b.count++
 	b.sources[rec.Src] = struct{}{}
@@ -196,15 +238,18 @@ func (d *BeaconDetector) Name() string { return "cc-beacon" }
 // Process implements Detector.
 func (d *BeaconDetector) Process(rec netsim.PacketRecord) []Alert {
 	k := beaconKey{rec.Src, rec.Dst}
+	iv := d.intervals[k]
 	if prev, ok := d.last[k]; ok {
-		d.intervals[k] = append(d.intervals[k], (rec.Time - prev).Seconds())
-		if len(d.intervals[k]) > 4*d.MinSamples {
-			d.intervals[k] = d.intervals[k][len(d.intervals[k])-2*d.MinSamples:]
+		iv = append(iv, (rec.Time - prev).Seconds())
+		if len(iv) > 4*d.MinSamples {
+			// Keep the newest 2*MinSamples in place, so the slice's
+			// backing array is reused rather than regrown.
+			iv = append(iv[:0], iv[len(iv)-2*d.MinSamples:]...)
 		}
+		d.intervals[k] = iv
 	}
 	d.last[k] = rec.Time
 
-	iv := d.intervals[k]
 	if len(iv) < d.MinSamples || d.alerted[k] {
 		return nil
 	}

@@ -28,3 +28,32 @@ func TestEncryptAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// TestSum64AllocFree pins one-shot DM-PRESENT hashing, what every
+// attestation sweep does per device, to zero allocations, and a reused
+// CMAC's Reset/Write/Sum cycle to none beyond the slice Sum appends to.
+func TestSum64AllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	img := make([]byte, 37)
+	if n := testing.AllocsPerRun(100, func() { sinkSum = Sum64(img) }); n != 0 {
+		t.Errorf("Sum64: %v allocs per digest, want 0", n)
+	}
+	blk, err := NewPRESENT(digestKey(80))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mac, err := NewCMAC(blk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tag := make([]byte, 0, mac.Size())
+	if n := testing.AllocsPerRun(100, func() {
+		mac.Reset()
+		mac.Write(img)
+		tag = mac.Sum(tag[:0])
+	}); n != 0 {
+		t.Errorf("CMAC Reset/Write/Sum: %v allocs per tag, want 0", n)
+	}
+}

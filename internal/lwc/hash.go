@@ -18,7 +18,9 @@ import (
 type DMPresent struct {
 	h   uint64
 	len uint64
-	buf []byte
+	// buf holds the nbuf (< 8) input bytes not yet compressed.
+	buf  [8]byte
+	nbuf int
 }
 
 var _ hash.Hash = (*DMPresent)(nil)
@@ -36,55 +38,61 @@ func NewDMPresent() *DMPresent {
 func (d *DMPresent) Reset() {
 	d.h = dmPresentIV
 	d.len = 0
-	d.buf = d.buf[:0]
+	d.nbuf = 0
 }
 
 func (d *DMPresent) Size() int      { return 8 }
 func (d *DMPresent) BlockSize() int { return 8 }
 
-// compress absorbs one 8-byte message block: H' = E_{H || M}(M) xor M.
-func (d *DMPresent) compress(block []byte) {
-	m := binary.BigEndian.Uint64(block)
-	c := present128(d.h, m)
-	d.h = c.encrypt(m) ^ m
+// dmCompress absorbs one 8-byte message block m into the chaining value
+// h: H' = E_{H || M}(M) xor M.
+func dmCompress(h, m uint64) uint64 {
+	c := present128(h, m)
+	return c.encrypt(m) ^ m
 }
 
+// Write compresses whole blocks straight from p and keeps only the
+// trailing partial block.
 func (d *DMPresent) Write(p []byte) (int, error) {
+	written := len(p)
 	d.len += uint64(len(p))
-	d.buf = append(d.buf, p...)
-	for len(d.buf) >= 8 {
-		d.compress(d.buf[:8])
-		d.buf = d.buf[8:]
+	if d.nbuf > 0 {
+		k := copy(d.buf[d.nbuf:], p)
+		d.nbuf += k
+		p = p[k:]
+		if d.nbuf < 8 {
+			return written, nil
+		}
+		d.h = dmCompress(d.h, binary.BigEndian.Uint64(d.buf[:]))
+		d.nbuf = 0
 	}
-	return len(p), nil
+	for len(p) >= 8 {
+		d.h = dmCompress(d.h, binary.BigEndian.Uint64(p))
+		p = p[8:]
+	}
+	d.nbuf = copy(d.buf[:], p)
+	return written, nil
 }
 
 // Sum appends the 8-byte digest to b without disturbing the running state.
 func (d *DMPresent) Sum(b []byte) []byte {
-	// Clone state, then pad: 0x80, zeros, 64-bit length.
-	clone := &DMPresent{h: d.h, len: d.len}
-	clone.buf = append(clone.buf, d.buf...)
-	clone.buf = append(clone.buf, 0x80)
-	for len(clone.buf)%8 != 0 {
-		clone.buf = append(clone.buf, 0)
-	}
-	var lenBlock [8]byte
-	binary.BigEndian.PutUint64(lenBlock[:], d.len*8)
-	clone.buf = append(clone.buf, lenBlock[:]...)
-	for len(clone.buf) >= 8 {
-		clone.compress(clone.buf[:8])
-		clone.buf = clone.buf[8:]
-	}
-	var out [8]byte
-	binary.BigEndian.PutUint64(out[:], clone.h)
-	return append(b, out[:]...)
+	return binary.BigEndian.AppendUint64(b, d.sum64())
+}
+
+// sum64 pads a copy of the state — 0x80, zeros to the block boundary,
+// then the 64-bit message length in bits — and returns the digest.
+func (d *DMPresent) sum64() uint64 {
+	var tail [16]byte
+	copy(tail[:], d.buf[:d.nbuf])
+	tail[d.nbuf] = 0x80
+	binary.BigEndian.PutUint64(tail[8:], d.len*8)
+	h := dmCompress(d.h, binary.BigEndian.Uint64(tail[:8]))
+	return dmCompress(h, binary.BigEndian.Uint64(tail[8:]))
 }
 
 // Sum64 returns the digest of data as a uint64 in one call.
 func Sum64(data []byte) uint64 {
-	d := NewDMPresent()
+	d := DMPresent{h: dmPresentIV}
 	d.Write(data) //xlf:allow-droperr hash.Hash.Write never returns an error
-	var out [8]byte
-	d.Sum(out[:0])
-	return binary.BigEndian.Uint64(out[:])
+	return d.sum64()
 }

@@ -24,12 +24,21 @@ type PacketRecord struct {
 	Payload []byte
 }
 
-// Capture accumulates PacketRecords from a tap.
+// Capture accumulates PacketRecords from a tap. Records are stored in
+// chunks that double from minChunk up to maxChunk records, so an append
+// never copies earlier records and a short capture stays small.
 type Capture struct {
-	records []PacketRecord
+	chunks [][]PacketRecord
+	n      int
 	// IncludePayloads controls whether cleartext payloads are retained.
 	IncludePayloads bool
 }
+
+// Capture chunk sizes, in records.
+const (
+	minChunk = 16
+	maxChunk = 4096
+)
 
 // NewCapture returns an empty capture.
 func NewCapture() *Capture { return &Capture{} }
@@ -53,23 +62,44 @@ func (c *Capture) Tap() Tap {
 				rec.Payload = append([]byte(nil), pkt.Payload...)
 			}
 		}
-		c.records = append(c.records, rec)
+		c.add(rec)
 	}
+}
+
+// add appends one record, opening a chunk twice the last one's size (up
+// to maxChunk) when the last chunk is full.
+func (c *Capture) add(rec PacketRecord) {
+	last := len(c.chunks) - 1
+	if last < 0 || len(c.chunks[last]) == cap(c.chunks[last]) {
+		size := minChunk
+		if last >= 0 {
+			size = min(2*cap(c.chunks[last]), maxChunk)
+		}
+		c.chunks = append(c.chunks, make([]PacketRecord, 0, size))
+		last++
+	}
+	c.chunks[last] = append(c.chunks[last], rec)
+	c.n++
 }
 
 // Records returns the captured packets in delivery order (a copy of the
 // slice; records are shared).
 func (c *Capture) Records() []PacketRecord {
-	out := make([]PacketRecord, len(c.records))
-	copy(out, c.records)
+	out := make([]PacketRecord, 0, c.n)
+	for _, ch := range c.chunks {
+		out = append(out, ch...)
+	}
 	return out
 }
 
 // Len returns the number of captured packets.
-func (c *Capture) Len() int { return len(c.records) }
+func (c *Capture) Len() int { return c.n }
 
 // Reset discards captured packets.
-func (c *Capture) Reset() { c.records = c.records[:0] }
+func (c *Capture) Reset() {
+	c.chunks = nil
+	c.n = 0
+}
 
 // FlowStat summarises one unidirectional flow in a capture.
 type FlowStat struct {

@@ -257,12 +257,13 @@ func (h *Home) addDevice(d *device.Device, cfg Config) error {
 	// Periodic cloud keepalive: the vendor chatter every real device
 	// produces, and what the E2 adversary fingerprints.
 	if len(d.CloudDomains) > 0 {
-		dom := d.CloudDomains[0]
+		cloudAddr := netsim.Addr("wan:" + d.CloudDomains[0])
+		size := 180 + len(d.ID)*3
 		h.Kernel.Every(cfg.KeepaliveEvery, cfg.KeepaliveEvery/4, d.ID+"-keepalive", func() {
 			pkt := &netsim.Packet{
 				Src: lanAddr, SrcPort: 7443,
-				Dst: netsim.Addr("wan:" + dom), DstPort: 443,
-				Proto: "TLS", Encrypted: true, Size: 180 + len(d.ID)*3,
+				Dst: cloudAddr, DstPort: 443,
+				Proto: "TLS", Encrypted: true, Size: size,
 				App: "keepalive",
 			}
 			cause := "cleartext"

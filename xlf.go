@@ -116,6 +116,14 @@ type System struct {
 	// application verification.
 	declaredRules map[string][]service.Rule
 
+	// attestOrder is the attestation sweep: every device with its LAN
+	// address, in sorted ID order, because signal ingestion order must
+	// not depend on map iteration, or traces (and any order-sensitive
+	// correlation) would differ between identically-seeded runs. The
+	// device set is fixed when the testbed is built, so it is computed
+	// once.
+	attestOrder []attestTarget
+
 	protected bool
 }
 
@@ -311,6 +319,14 @@ func New(opts Options) (*System, error) {
 	attest := opts.AttestEvery
 	if attest <= 0 {
 		attest = 30 * time.Second
+	}
+	devIDs := make([]string, 0, len(home.Devices))
+	for id := range home.Devices {
+		devIDs = append(devIDs, id)
+	}
+	sort.Strings(devIDs)
+	for _, id := range devIDs {
+		s.attestOrder = append(s.attestOrder, attestTarget{id: id, lan: netsim.Addr("lan:" + id)})
 	}
 	home.Kernel.Every(attest, attest/8, "xlf-attest", func() { s.attest() })
 
@@ -576,21 +592,20 @@ func (s *System) onCommand(cmd service.Command) {
 	}
 }
 
+// attestTarget is one device of the attestation sweep.
+type attestTarget struct {
+	id  string
+	lan netsim.Addr
+}
+
 // attest verifies every device's firmware fingerprint — XLF's device-layer
 // malware detection (§IV-A4).
 func (s *System) attest() {
 	now := s.Home.Kernel.Now()
-	// Sorted sweep order: signal ingestion order must not depend on map
-	// iteration, or traces (and any order-sensitive correlation) would
-	// differ between identically-seeded runs.
-	ids := make([]string, 0, len(s.Home.Devices))
-	for id := range s.Home.Devices {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, tgt := range s.attestOrder {
+		id := tgt.id
 		d := s.Home.Devices[id]
-		if s.NAC.Blocked(netsim.Addr("lan:" + id)) {
+		if s.NAC.Blocked(tgt.lan) {
 			continue // already contained
 		}
 		if !d.Firmware.Verify() {
