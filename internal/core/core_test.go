@@ -266,12 +266,12 @@ func TestNACPolicy(t *testing.T) {
 		t.Errorf("infra denied: %v", err)
 	}
 	bad := &netsim.Packet{Src: "lan:bulb-1", Dst: "wan:cnc"}
-	if err := hook(bad); err == nil {
-		t.Error("unknown destination allowed")
+	if err := hook(bad); err == nil || err.Error() != "core: NAC denies lan:bulb-1 -> wan:cnc" {
+		t.Errorf("unknown destination: err = %v", err)
 	}
 	p.Block("lan:bulb-1")
-	if err := hook(ok); err == nil {
-		t.Error("quarantined device allowed out")
+	if err := hook(ok); err == nil || err.Error() != "core: lan:bulb-1 is quarantined" {
+		t.Errorf("quarantined device: err = %v", err)
 	}
 	if !p.Blocked("lan:bulb-1") {
 		t.Error("Blocked() = false")

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -229,6 +230,12 @@ func TestGatewayPolicies(t *testing.T) {
 	err := gw.SendOut(n, &Packet{Src: "lan:dev", Dst: "wan:evil", DstPort: 80, Size: 10})
 	if err == nil {
 		t.Fatal("policy did not block")
+	}
+	if want := "netsim: outbound blocked: " + errBlocked.Error(); err.Error() != want {
+		t.Errorf("blocked error = %q, want %q", err, want)
+	}
+	if !errors.Is(err, errBlocked) {
+		t.Error("blocked error does not wrap the policy's error")
 	}
 	k.Run(time.Second)
 	if len(cloud.got) != 0 {

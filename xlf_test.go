@@ -1,12 +1,14 @@
 package xlf
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"xlf/internal/analytics"
 	"xlf/internal/attack"
+	"xlf/internal/core"
 	"xlf/internal/netsim"
 	"xlf/internal/service"
 )
@@ -119,6 +121,44 @@ func TestNACBlocksCCBeacons(t *testing.T) {
 		if r.Dst == "wan:cnc" {
 			t.Fatalf("C&C beacon escaped the NAC: %+v", r)
 		}
+	}
+}
+
+// TestNACDenialTexts pins what a refusal at the protected gateway looks
+// like to its callers: the SendOut error text and chain, and the Detail of
+// the nac-denial signal the Core ingests.
+func TestNACDenialTexts(t *testing.T) {
+	sys := protectedSystem(t, 1)
+	gw := sys.Home.Gateway
+	pkt := &netsim.Packet{Src: "lan:a", Dst: "wan:b", DstPort: 80}
+	err := gw.SendOut(sys.Home.Net, pkt)
+	if want := "netsim: outbound blocked: core: NAC denies lan:a -> wan:b"; err == nil || err.Error() != want {
+		t.Fatalf("SendOut error = %v, want %q", err, want)
+	}
+	if inner := errors.Unwrap(err); inner == nil || inner.Error() != "core: NAC denies lan:a -> wan:b" {
+		t.Errorf("unwrapped error = %v", inner)
+	}
+	// A strong device-layer signal alerts on "a" with the denial in its
+	// evidence, and containment cuts the device off.
+	a := sys.Core.Ingest(core.Signal{
+		Time: sys.Home.Kernel.Now(), Layer: core.Device, Source: "test",
+		DeviceID: "a", Kind: "scan", Score: 0.9,
+	})
+	if a == nil {
+		t.Fatal("no alert on device a")
+	}
+	var details []string
+	for _, s := range a.Evidence {
+		if s.Kind == "nac-denial" {
+			details = append(details, s.Detail)
+		}
+	}
+	if len(details) != 1 || details[0] != "denied lan:a -> wan:b:80" {
+		t.Errorf("nac-denial details = %q, want [\"denied lan:a -> wan:b:80\"]", details)
+	}
+	err = gw.SendOut(sys.Home.Net, pkt)
+	if want := "netsim: outbound blocked: core: lan:a is quarantined"; err == nil || err.Error() != want {
+		t.Errorf("SendOut error after containment = %v, want %q", err, want)
 	}
 }
 
