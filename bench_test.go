@@ -15,6 +15,7 @@ import (
 	"xlf/internal/core"
 	"xlf/internal/exp"
 	"xlf/internal/lwc"
+	"xlf/internal/netsim"
 	"xlf/internal/obs"
 	"xlf/internal/service"
 )
@@ -150,6 +151,30 @@ func benchIngest(b *testing.B, tracer *obs.Tracer) {
 			Kind:     "bench-signal",
 			Score:    0.3,
 		})
+	}
+}
+
+// BenchmarkGatewayDeny measures one refusal at the protected home's
+// gateway: an unenrolled destination goes through the NAC hook, OnDeny's
+// nac-denial signal and Core.Ingest, and SendOut returns its error. The
+// device's window reaches its cap early, so the steady state is the
+// refusal alone.
+func BenchmarkGatewayDeny(b *testing.B) {
+	sys, err := xlf.New(xlf.Options{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	gw, net := sys.Home.Gateway, sys.Home.Net
+	pkt := &netsim.Packet{
+		Src: "lan:cam-1", SrcPort: 50000, Dst: "wan:victim", DstPort: 80,
+		Proto: "UDP", Size: 512, App: "attack:flood",
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if gw.SendOut(net, pkt) == nil {
+			b.Fatal("unenrolled destination forwarded")
+		}
 	}
 }
 

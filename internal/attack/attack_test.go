@@ -1,6 +1,7 @@
 package attack_test
 
 import (
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -184,6 +185,45 @@ func TestDDoSFloodNeedsBots(t *testing.T) {
 	}
 	if floodPkts < 100 {
 		t.Errorf("flood packets on WAN = %d, want lots", floodPkts)
+	}
+}
+
+// TestDDoSFloodSkipsUnknownBots names bots that are not in the
+// environment: they are skipped, and a flood left with no bot is refused
+// instead of ticking on a missing device.
+func TestDDoSFloodSkipsUnknownBots(t *testing.T) {
+	h := vulnerableHome(t)
+	env := h.AttackEnv()
+	res := (&attack.DDoSFlood{Victim: "wan:victim", Bots: []string{"ghost-1"}}).Execute(env)
+	if err := h.Run(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if res.Succeeded || res.Blocked != "no bots available" {
+		t.Errorf("flood from unknown bots = %s, want blocked: no bots available", res)
+	}
+	ids := make([]string, 0, len(h.Devices))
+	for id := range h.Devices {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	bot := ids[0]
+	h.Devices[bot].Compromise("test")
+	res = (&attack.DDoSFlood{Victim: "wan:victim", Rate: 10, Duration: 2 * time.Second,
+		Bots: []string{"ghost-1", bot, "ghost-2"}}).Execute(env)
+	if !res.Succeeded || !strings.HasPrefix(res.Impact, "1 bots flooding") {
+		t.Fatalf("flood from one known bot = %s", res)
+	}
+	if err := h.Run(h.Kernel.Now() + 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	floodPkts := 0
+	for _, r := range h.WANCap.Records() {
+		if r.Dst == "wan:victim" {
+			floodPkts++
+		}
+	}
+	if floodPkts == 0 {
+		t.Error("the known bot sent no flood packet")
 	}
 }
 

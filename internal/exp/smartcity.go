@@ -9,8 +9,8 @@ import (
 	"xlf/internal/testbed"
 )
 
-// runE10 is the kernel scale experiment behind ROADMAP item 1: the
-// smart-city fleet (testbed.City) at increasing device counts on one
+// runE10 is the kernel scale experiment behind the one-core kernel's
+// million-device claim: the smart-city fleet (testbed.City) at increasing device counts on one
 // simulation kernel, reporting dispatch volume and sustained event
 // throughput. The registry sweep stops at 50k devices so the full suite
 // stays fast under -race; examples/smartcity runs the same scenario at

@@ -39,6 +39,26 @@ func TestSendDeliverAllocBudget(t *testing.T) {
 	}
 }
 
+// TestSendOutBlockedAllocBudget pins the refusal's cost in the gateway: a
+// packet the outbound policy refuses with a preallocated error allocates
+// only SendOut's wrapping error, whose text is built when it is read.
+func TestSendOutBlockedAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	n := New(sim.NewKernel(1))
+	gw := NewGateway("lan:gw", "wan:home")
+	gw.OutboundPolicy = func(*Packet) error { return errBlocked }
+	pkt := &Packet{Src: "lan:dev", Dst: "wan:evil", DstPort: 80, Size: 10}
+	if a := testing.AllocsPerRun(200, func() {
+		if gw.SendOut(n, pkt) == nil {
+			t.Fatal("policy did not block")
+		}
+	}); a != 1 {
+		t.Errorf("refused SendOut allocates %.1f, want 1", a)
+	}
+}
+
 // BenchmarkNetsimSend measures the packet hot path end to end
 // (Send → pooled delivery event → deliver) and must report 0 allocs/op;
 // scripts/bench-compare gates it against bench/seed.

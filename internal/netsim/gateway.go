@@ -78,19 +78,10 @@ func (g *Gateway) Blocked() (uint64, uint64) { return g.blockedOut, g.blockedIn 
 // Forwarded returns the NAT-forwarded packet count.
 func (g *Gateway) Forwarded() uint64 { return g.forwarded }
 
-// Handle implements Node: LAN-side ingress. LAN packets destined to WAN
-// addresses are NATted and re-sent from the WAN face.
-func (g *Gateway) Handle(net *Network, pkt *Packet) {
-	if pkt.Dst != g.lanAddr {
-		return
-	}
-	// The convention: devices address WAN destinations through the
-	// gateway by leaving the true destination in pkt.App-agnostic field?
-	// No — devices send directly to wan: addresses; the network routes
-	// through deliver(). The gateway's Handle is only used for traffic
-	// addressed to the gateway itself (DNS forwarding, admin UI).
-	_ = net
-}
+// Handle implements Node for the LAN face and drops what it receives:
+// WAN-bound traffic goes through SendOut, so only packets addressed to the
+// gateway itself arrive here, and the model serves none.
+func (g *Gateway) Handle(*Network, *Packet) {}
 
 // WANNode returns the Node for the gateway's WAN face, which receives
 // inbound traffic and un-NATs it.
@@ -127,7 +118,7 @@ func (g *Gateway) SendOut(net *Network, pkt *Packet) error {
 	if g.OutboundPolicy != nil {
 		if err := g.OutboundPolicy(pkt); err != nil {
 			g.blockedOut++
-			return fmt.Errorf("netsim: outbound blocked: %w", err)
+			return &blockedError{err}
 		}
 	}
 	key := natKey{lanSrc: pkt.Src, lanPort: pkt.SrcPort, dst: pkt.Dst, dstPort: pkt.DstPort}
@@ -152,6 +143,14 @@ func (g *Gateway) SendOut(net *Network, pkt *Packet) error {
 	net.Send(out)
 	return nil
 }
+
+// blockedError is SendOut's refusal: the outbound policy's error behind a
+// fixed prefix, built into text only when read.
+type blockedError struct{ err error }
+
+func (e *blockedError) Error() string { return "netsim: outbound blocked: " + e.err.Error() }
+
+func (e *blockedError) Unwrap() error { return e.err }
 
 // ExternalPortFor exposes the NAT mapping for tests and the adversary
 // model (an external observer distinguishes clients by external port).

@@ -183,8 +183,9 @@ func (k *Kernel) StopNow() { k.stopped = true }
 // drained from a presorted batch, so a burst of N simultaneous events
 // costs one wheel access, not N heap operations.
 //
-// Step is shard-phase work: when ROADMAP item 2 shards the kernel, it
-// runs inside one shard's window and must not touch another domain.
+// Step is shard-phase work for the shardsafe vet rules: in a sharded
+// kernel it would run inside one shard's window and must not touch
+// another domain.
 //
 //xlf:hotpath
 //xlf:phase(shard)

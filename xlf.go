@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -228,7 +229,7 @@ func New(opts Options) (*System, error) {
 				DeviceID: dev,
 				Kind:     "nac-denial",
 				Score:    0.5,
-				Detail:   fmt.Sprintf("denied %s -> %s:%d", pkt.Src, pkt.Dst, pkt.DstPort),
+				Detail:   "denied " + string(pkt.Src) + " -> " + string(pkt.Dst) + ":" + strconv.Itoa(pkt.DstPort),
 			})
 		}
 	}
