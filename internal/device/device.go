@@ -74,23 +74,25 @@ type Transition struct {
 // programs ... a DFA could be used to reflect normal device behaviors").
 type Behavior struct {
 	Initial State
-	edges   map[State]map[string]State
+	edges   map[edge]State
+}
+
+// edge is one DFA transition's source: a state and an event.
+type edge struct {
+	from  State
+	event string
 }
 
 // NewBehavior builds a DFA from transitions. Duplicate (state, event)
 // pairs are rejected — the automaton must be deterministic.
 func NewBehavior(initial State, transitions []Transition) (*Behavior, error) {
-	b := &Behavior{Initial: initial, edges: make(map[State]map[string]State)}
+	b := &Behavior{Initial: initial, edges: make(map[edge]State, len(transitions))}
 	for _, tr := range transitions {
-		m := b.edges[tr.From]
-		if m == nil {
-			m = make(map[string]State)
-			b.edges[tr.From] = m
-		}
-		if prev, dup := m[tr.Event]; dup && prev != tr.To {
+		e := edge{tr.From, tr.Event}
+		if prev, dup := b.edges[e]; dup && prev != tr.To {
 			return nil, fmt.Errorf("device: nondeterministic transition %s --%s--> {%s,%s}", tr.From, tr.Event, prev, tr.To)
 		}
-		m[tr.Event] = tr.To
+		b.edges[e] = tr.To
 	}
 	return b, nil
 }
@@ -98,17 +100,15 @@ func NewBehavior(initial State, transitions []Transition) (*Behavior, error) {
 // Next returns the successor state for an event, or ok=false if the event
 // is not legal in the given state.
 func (b *Behavior) Next(s State, event string) (State, bool) {
-	to, ok := b.edges[s][event]
+	to, ok := b.edges[edge{s, event}]
 	return to, ok
 }
 
 // Events returns the sorted event alphabet of the automaton.
 func (b *Behavior) Events() []string {
 	set := make(map[string]struct{})
-	for _, m := range b.edges {
-		for e := range m {
-			set[e] = struct{}{}
-		}
+	for e := range b.edges {
+		set[e.event] = struct{}{}
 	}
 	out := make([]string, 0, len(set))
 	for e := range set {
@@ -121,11 +121,9 @@ func (b *Behavior) Events() []string {
 // States returns the sorted state set.
 func (b *Behavior) States() []State {
 	set := map[State]struct{}{b.Initial: {}}
-	for from, m := range b.edges {
-		set[from] = struct{}{}
-		for _, to := range m {
-			set[to] = struct{}{}
-		}
+	for e, to := range b.edges {
+		set[e.from] = struct{}{}
+		set[to] = struct{}{}
 	}
 	out := make([]State, 0, len(set))
 	for s := range set {

@@ -22,6 +22,11 @@ func TestTable1HasTwentyRows(t *testing.T) {
 		}
 		seen[p.Name] = true
 	}
+	// Each call returns its own copy of the rows.
+	rows[7].CoreHz = 0
+	if p, _ := ProfileByName(rows[7].Name); p.CoreHz == 0 || Table1()[7].CoreHz == 0 {
+		t.Error("changing Table1's result changed the table")
+	}
 }
 
 func TestProfileByName(t *testing.T) {

@@ -132,41 +132,43 @@ func CostModel(p Profile, cyclesPerByte float64, ramBytes int) CipherCost {
 }
 
 // Table1 returns the 20 rows of the paper's Table I.
-func Table1() []Profile {
-	const (
-		kb = 1 << 10
-		mb = 1 << 20
-		gb = 1 << 30
-	)
-	return []Profile{
-		{Name: "HID Glass Tag Ultra (RFID)", Chipset: "EM 4305", CoreHz: 134.2e3, RAMBytes: 512 / 8, FlashBytes: 0, Power: PowerPassive, BusWidth: 8, Kind: "rfid"},
-		{Name: "HID Piccolino Tag (RFID)", Chipset: "I-Code SLIx, SLIx-S", CoreHz: 13.56e6, RAMBytes: 2048 / 8, FlashBytes: 0, Power: PowerPassive, BusWidth: 8, Kind: "rfid"},
-		{Name: "Sensor Devices", Chipset: "Microcontroller", CoreHz: 16e6, RAMBytes: 8 * kb, FlashBytes: 64 * kb, Power: PowerBattery, BusWidth: 16, Kind: "sensor"},
-		{Name: "Google Chromecast", Chipset: "ARM Cortex-A7", CoreHz: 1.2e9, RAMBytes: 512 * mb, FlashBytes: 256 * mb, Power: PowerUnknown, BusWidth: 32, Kind: "appliance"},
-		{Name: "NETGEAR Router", Chipset: "Broadcom BCM4709A", CoreHz: 1.0e9, RAMBytes: 256 * mb, FlashBytes: 128 * kb, Power: PowerAC, BusWidth: 32, Kind: "hub"},
-		{Name: "Gateway WISE-3310", Chipset: "ARM Cortex-A9", CoreHz: 1.0e9, RAMBytes: 0, FlashBytes: 4 * gb, Power: PowerAC, BusWidth: 32, Kind: "hub"},
-		{Name: "REX2 Smart Meter", Chipset: "Teridian 71M6531F SoC", CoreHz: 10e6, RAMBytes: 4 * kb, FlashBytes: 256 * kb, Power: PowerBattery, BusWidth: 8, Kind: "sensor"},
-		{Name: "Philips Hue Lightbulb", Chipset: "TI CC2530 SoC", CoreHz: 32e6, RAMBytes: 8 * kb, FlashBytes: 256 * kb, Power: PowerBattery, BusWidth: 8, Kind: "appliance"},
-		{Name: "Nest Smoke Detector", Chipset: "ARM Cortex-M0", CoreHz: 48e6, RAMBytes: 16 * kb, FlashBytes: 128 * kb, Power: PowerBattery, BusWidth: 32, Kind: "sensor"},
-		{Name: "Nest Learning Thermostat", Chipset: "ARM Cortex-A8", CoreHz: 800e6, RAMBytes: 512 * mb, FlashBytes: 2 * gb, Power: PowerBattery, BusWidth: 32, Kind: "appliance"},
-		{Name: "Samsung Smart Cam", Chipset: "GM812x SoC", CoreHz: 540e6, RAMBytes: 0, FlashBytes: 64 * gb, Power: PowerAC, BusWidth: 32, Kind: "camera"},
-		{Name: "Samsung Smart TV", Chipset: "ARM-based Exynos SoC", CoreHz: 1.3e9, RAMBytes: 1 * gb, FlashBytes: 0, Power: PowerAC, BusWidth: 32, Kind: "appliance"},
-		{Name: "OORT Bluetooth Smart Controller", Chipset: "ARM Cortex-M0", CoreHz: 50e6, RAMBytes: 32 * kb, FlashBytes: 256 * kb, Power: PowerBattery, BusWidth: 32, Kind: "hub"},
-		{Name: "Dacor Android Oven", Chipset: "PowerVR SGX 540 graphics", CoreHz: 1e9, RAMBytes: 512 * mb, FlashBytes: 0, Power: PowerAC, BusWidth: 32, Kind: "appliance"},
-		{Name: "Fitbit Smart Wrist Band Flex", Chipset: "ARM Cortex-M3", CoreHz: 32e6, RAMBytes: 16 * kb, FlashBytes: 128 * kb, Power: PowerBattery, BusWidth: 32, Kind: "wearable"},
-		{Name: "LG Watch Urbane 2nd Edition", Chipset: "Snapdragon 400 chipset", CoreHz: 1.2e9, RAMBytes: 768 * mb, FlashBytes: 4 * gb, Power: PowerBattery, BusWidth: 32, Kind: "wearable"},
-		{Name: "Samsung Watch Gear S2", Chipset: "MSM8x26", CoreHz: 1.2e9, RAMBytes: 512 * mb, FlashBytes: 4 * gb, Power: PowerBattery, BusWidth: 32, Kind: "wearable"},
-		{Name: "Apple Watch", Chipset: "S1", CoreHz: 520e6, RAMBytes: 512 * mb, FlashBytes: 8 * gb, Power: PowerBattery, BusWidth: 32, Kind: "wearable"},
-		{Name: "iPhone 6s Plus", Chipset: "A9/64-bit/M9 coprocessor", CoreHz: 1.85e9, RAMBytes: 2 * gb, FlashBytes: 128 * gb, Power: PowerBattery, BusWidth: 64, Kind: "phone"},
-		{Name: "12.9-inch iPad Pro", Chipset: "A9X/64-bit/M9 coprocessor", CoreHz: 1.85e9, RAMBytes: 4 * gb, FlashBytes: 256 * gb, Power: PowerBattery, BusWidth: 64, Kind: "phone"},
-	}
+func Table1() []Profile { return append([]Profile(nil), table1[:]...) }
+
+const (
+	kb = 1 << 10
+	mb = 1 << 20
+	gb = 1 << 30
+)
+
+// table1 holds the rows Table1 copies out; ProfileByName reads it in place.
+var table1 = [...]Profile{
+	{Name: "HID Glass Tag Ultra (RFID)", Chipset: "EM 4305", CoreHz: 134.2e3, RAMBytes: 512 / 8, FlashBytes: 0, Power: PowerPassive, BusWidth: 8, Kind: "rfid"},
+	{Name: "HID Piccolino Tag (RFID)", Chipset: "I-Code SLIx, SLIx-S", CoreHz: 13.56e6, RAMBytes: 2048 / 8, FlashBytes: 0, Power: PowerPassive, BusWidth: 8, Kind: "rfid"},
+	{Name: "Sensor Devices", Chipset: "Microcontroller", CoreHz: 16e6, RAMBytes: 8 * kb, FlashBytes: 64 * kb, Power: PowerBattery, BusWidth: 16, Kind: "sensor"},
+	{Name: "Google Chromecast", Chipset: "ARM Cortex-A7", CoreHz: 1.2e9, RAMBytes: 512 * mb, FlashBytes: 256 * mb, Power: PowerUnknown, BusWidth: 32, Kind: "appliance"},
+	{Name: "NETGEAR Router", Chipset: "Broadcom BCM4709A", CoreHz: 1.0e9, RAMBytes: 256 * mb, FlashBytes: 128 * kb, Power: PowerAC, BusWidth: 32, Kind: "hub"},
+	{Name: "Gateway WISE-3310", Chipset: "ARM Cortex-A9", CoreHz: 1.0e9, RAMBytes: 0, FlashBytes: 4 * gb, Power: PowerAC, BusWidth: 32, Kind: "hub"},
+	{Name: "REX2 Smart Meter", Chipset: "Teridian 71M6531F SoC", CoreHz: 10e6, RAMBytes: 4 * kb, FlashBytes: 256 * kb, Power: PowerBattery, BusWidth: 8, Kind: "sensor"},
+	{Name: "Philips Hue Lightbulb", Chipset: "TI CC2530 SoC", CoreHz: 32e6, RAMBytes: 8 * kb, FlashBytes: 256 * kb, Power: PowerBattery, BusWidth: 8, Kind: "appliance"},
+	{Name: "Nest Smoke Detector", Chipset: "ARM Cortex-M0", CoreHz: 48e6, RAMBytes: 16 * kb, FlashBytes: 128 * kb, Power: PowerBattery, BusWidth: 32, Kind: "sensor"},
+	{Name: "Nest Learning Thermostat", Chipset: "ARM Cortex-A8", CoreHz: 800e6, RAMBytes: 512 * mb, FlashBytes: 2 * gb, Power: PowerBattery, BusWidth: 32, Kind: "appliance"},
+	{Name: "Samsung Smart Cam", Chipset: "GM812x SoC", CoreHz: 540e6, RAMBytes: 0, FlashBytes: 64 * gb, Power: PowerAC, BusWidth: 32, Kind: "camera"},
+	{Name: "Samsung Smart TV", Chipset: "ARM-based Exynos SoC", CoreHz: 1.3e9, RAMBytes: 1 * gb, FlashBytes: 0, Power: PowerAC, BusWidth: 32, Kind: "appliance"},
+	{Name: "OORT Bluetooth Smart Controller", Chipset: "ARM Cortex-M0", CoreHz: 50e6, RAMBytes: 32 * kb, FlashBytes: 256 * kb, Power: PowerBattery, BusWidth: 32, Kind: "hub"},
+	{Name: "Dacor Android Oven", Chipset: "PowerVR SGX 540 graphics", CoreHz: 1e9, RAMBytes: 512 * mb, FlashBytes: 0, Power: PowerAC, BusWidth: 32, Kind: "appliance"},
+	{Name: "Fitbit Smart Wrist Band Flex", Chipset: "ARM Cortex-M3", CoreHz: 32e6, RAMBytes: 16 * kb, FlashBytes: 128 * kb, Power: PowerBattery, BusWidth: 32, Kind: "wearable"},
+	{Name: "LG Watch Urbane 2nd Edition", Chipset: "Snapdragon 400 chipset", CoreHz: 1.2e9, RAMBytes: 768 * mb, FlashBytes: 4 * gb, Power: PowerBattery, BusWidth: 32, Kind: "wearable"},
+	{Name: "Samsung Watch Gear S2", Chipset: "MSM8x26", CoreHz: 1.2e9, RAMBytes: 512 * mb, FlashBytes: 4 * gb, Power: PowerBattery, BusWidth: 32, Kind: "wearable"},
+	{Name: "Apple Watch", Chipset: "S1", CoreHz: 520e6, RAMBytes: 512 * mb, FlashBytes: 8 * gb, Power: PowerBattery, BusWidth: 32, Kind: "wearable"},
+	{Name: "iPhone 6s Plus", Chipset: "A9/64-bit/M9 coprocessor", CoreHz: 1.85e9, RAMBytes: 2 * gb, FlashBytes: 128 * gb, Power: PowerBattery, BusWidth: 64, Kind: "phone"},
+	{Name: "12.9-inch iPad Pro", Chipset: "A9X/64-bit/M9 coprocessor", CoreHz: 1.85e9, RAMBytes: 4 * gb, FlashBytes: 256 * gb, Power: PowerBattery, BusWidth: 64, Kind: "phone"},
 }
 
 // ProfileByName finds a Table I row by its printed name.
 func ProfileByName(name string) (Profile, error) {
-	for _, p := range Table1() {
-		if p.Name == name {
-			return p, nil
+	for i := range table1 {
+		if table1[i].Name == name {
+			return table1[i], nil
 		}
 	}
 	return Profile{}, fmt.Errorf("device: no Table I profile named %q", name)

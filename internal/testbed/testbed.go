@@ -170,6 +170,16 @@ func New(cfg Config) (*Home, error) {
 	return h, nil
 }
 
+// commandCaps maps each device command to the capability it requires. All
+// device handlers share it, and nothing writes to it.
+var commandCaps = map[string]string{
+	"on": "switch", "off": "switch", "dim": "level",
+	"open": "lock", "close": "lock", "unlock": "lock", "lock": "lock",
+	"heat": "thermostat", "cool": "thermostat",
+	"record": "camera", "disable": "camera", "enable": "camera",
+	"brew": "brew", "preheat": "oven",
+}
+
 // addDevice attaches a catalog device to the network and registers it with
 // the cloud.
 func (h *Home) addDevice(d *device.Device, cfg Config) error {
@@ -198,17 +208,10 @@ func (h *Home) addDevice(d *device.Device, cfg Config) error {
 
 	// Cloud handler: delivering a command sends a packet down to the
 	// device and applies it on arrival.
-	caps := map[string]string{
-		"on": "switch", "off": "switch", "dim": "level",
-		"open": "lock", "close": "lock", "unlock": "lock", "lock": "lock",
-		"heat": "thermostat", "cool": "thermostat",
-		"record": "camera", "disable": "camera", "enable": "camera",
-		"brew": "brew", "preheat": "oven",
-	}
 	handler := &service.DeviceHandler{
 		ID:           d.ID,
 		Caps:         d.Caps,
-		CapOfCommand: caps,
+		CapOfCommand: commandCaps,
 		Deliver: func(cmd service.Command) error {
 			h.Net.Send(&netsim.Packet{
 				Src: "lan:gw", Dst: lanAddr, SrcPort: 443, DstPort: 8443,
