@@ -41,7 +41,7 @@ vet-determinism:
 # vet-shardsafe runs just the ownership/shard-isolation layer — the
 # shardescape, shardhandle and shardphase rules over the //xlf:owned and
 # //xlf:phase annotations — for quick iteration while sharding the
-# kernel (ROADMAP item 2). check.sh runs the same set under -race.
+# kernel. check.sh runs the same set under -race.
 vet-shardsafe:
 	$(GO) run ./cmd/xlf-vet -only shardsafe -baseline vet-baseline.json ./...
 
@@ -54,7 +54,7 @@ check:
 
 # report regenerates every paper table and figure.
 report:
-	$(GO) run ./cmd/probe
+	$(GO) run ./cmd/xlf-bench -all
 
 # bench runs the full experiment suite in parallel and writes the
 # versioned BENCH_<id>.json artifacts to out/bench.

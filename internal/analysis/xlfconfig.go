@@ -84,7 +84,6 @@ var XLFLayerTable = map[string][]string{
 	"internal/analysis": {},
 
 	// Binaries and examples: leaves at the top of the DAG.
-	"cmd/probe":      {"internal/exp"},
 	"cmd/xlf-attack": {".", "internal/attack", "internal/service"},
 	"cmd/xlf-bench":  {"internal/exp", "internal/obs"},
 	"cmd/xlf-sim":    {".", "internal/analytics", "internal/attack", "internal/service"},

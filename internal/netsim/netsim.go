@@ -8,6 +8,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"xlf/internal/obs"
@@ -24,6 +25,14 @@ func (a Addr) IsLAN() bool { return len(a) >= 4 && a[:4] == "lan:" }
 // Packet is the unit of transmission. Fields are metadata the XLF network
 // layer can observe; Payload is opaque application data (possibly
 // encrypted).
+//
+// Ownership: a handler, tap or hook that receives a *Packet may read it
+// only until it returns. Whatever it wants to keep, it copies, as Capture
+// and the IDS record do. The network recycles the copies the gateway
+// forwards: once delivered or dropped, such a packet is zeroed and reused
+// for a later send, so a kept pointer reads zeros or another packet.
+// A sender may reuse its own packet once the network has delivered it.
+// Nobody writes a payload after it is sent, so copies share it.
 type Packet struct {
 	ID       uint64
 	Src, Dst Addr
@@ -51,12 +60,17 @@ type Packet struct {
 	// Dummy marks cover traffic injected by the traffic shaper; receivers
 	// discard it. Ground truth only — observers must not read it.
 	Dummy bool
+	// pooled marks a packet drawn from the network's free list, which
+	// the network takes back after delivery. It sits in the tail padding
+	// after Dummy, so a Packet stays 168 bytes.
+	pooled bool
 }
 
-// Clone returns a deep copy (payload included) for NAT rewriting and taps.
+// Clone returns a deep copy (payload included) that the caller owns.
 func (p *Packet) Clone() *Packet {
 	q := *p
 	q.Payload = append([]byte(nil), p.Payload...)
+	q.pooled = false
 	return &q
 }
 
@@ -76,7 +90,8 @@ func (p *Packet) Flow() FlowKey {
 type Node interface {
 	// Addr returns the node's address; it must be stable and unique.
 	Addr() Addr
-	// Handle processes a delivered packet.
+	// Handle processes a delivered packet. The packet is valid only
+	// until Handle returns; a node that keeps any of it copies it.
 	Handle(net *Network, pkt *Packet)
 }
 
@@ -115,7 +130,8 @@ const (
 )
 
 // Tap observes packets. Taps run synchronously at delivery time and must
-// not mutate the packet.
+// not mutate the packet. The packet is valid only until the tap returns;
+// a tap that keeps any of it copies it.
 type Tap func(dir TapDirection, pkt *Packet)
 
 // Network is the packet-switching core bound to a simulation kernel.
@@ -131,6 +147,10 @@ type Network struct {
 	// sim.Kernel.ScheduleArg, so Send does not allocate a capturing
 	// closure per packet.
 	deliverArg func(any)
+
+	// free holds zeroed packets for the gateway's forwarded copies; see
+	// copyOf and release.
+	free []*Packet
 
 	// stats
 	delivered uint64
@@ -266,11 +286,13 @@ func (n *Network) Send(pkt *Packet) {
 	if sl.Loss > 0 && rng.Float64() < sl.Loss {
 		n.dropped++
 		n.traceDrop(pkt, "loss:sender")
+		n.release(pkt)
 		return
 	}
 	if rl.Loss > 0 && rng.Float64() < rl.Loss {
 		n.dropped++
 		n.traceDrop(pkt, "loss:receiver")
+		n.release(pkt)
 		return
 	}
 
@@ -307,7 +329,8 @@ func (n *Network) traceDrop(pkt *Packet, cause string) {
 	})
 }
 
-// deliver hands a packet to taps and its destination node.
+// deliver hands a packet to taps and its destination node, then takes
+// back a packet drawn from the free list.
 //
 //xlf:hotpath
 func (n *Network) deliver(pkt *Packet) {
@@ -333,6 +356,7 @@ func (n *Network) deliver(pkt *Packet) {
 	if !ok {
 		n.dropped++
 		n.traceDrop(pkt, "no-node")
+		n.release(pkt)
 		return
 	}
 	if n.tracer != nil {
@@ -343,15 +367,50 @@ func (n *Network) deliver(pkt *Packet) {
 		})
 	}
 	at.node.Handle(n, pkt)
+	n.release(pkt)
+}
+
+// copyOf returns a network-owned copy of pkt from the free list. The copy
+// shares pkt's payload. Send takes it back after delivery or a drop.
+//
+//xlf:hotpath
+func (n *Network) copyOf(pkt *Packet) *Packet {
+	var q *Packet
+	if last := len(n.free) - 1; last >= 0 {
+		q = n.free[last]
+		n.free = n.free[:last]
+	} else {
+		q = new(Packet) //xlf:allow-hotpath the free list grows to the peak of forwarded packets in flight, then reuses them
+	}
+	*q = *pkt
+	q.pooled = true
+	return q
+}
+
+// release zeroes a packet drawn from the free list and returns it there;
+// other packets belong to their senders and are left alone.
+//
+//xlf:hotpath
+func (n *Network) release(pkt *Packet) {
+	if !pkt.pooled {
+		return
+	}
+	*pkt = Packet{}
+	n.free = append(n.free, pkt) //xlf:allow-hotpath the free list grows to the peak of forwarded packets in flight, then reuses its backing array
 }
 
 // Broadcast delivers a packet to every LAN node except the sender —
-// UPnP/SSDP-style discovery chatter.
+// UPnP/SSDP-style discovery chatter. Destinations are sent to in address
+// order, so each draws the same jitter on every identically seeded run.
 func (n *Network) Broadcast(src Addr, mk func(dst Addr) *Packet) {
+	dsts := make([]Addr, 0, len(n.nodes))
 	for a := range n.nodes {
-		if a == src || !a.IsLAN() {
-			continue
+		if a != src && a.IsLAN() {
+			dsts = append(dsts, a)
 		}
+	}
+	slices.Sort(dsts)
+	for _, a := range dsts {
 		n.Send(mk(a))
 	}
 }

@@ -2,19 +2,23 @@ package netsim
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"xlf/internal/sim"
 )
 
+// sink keeps a copy of every packet it receives: the packet itself is
+// valid only during Handle.
 type sink struct {
 	addr Addr
 	got  []*Packet
 }
 
 func (s *sink) Addr() Addr                   { return s.addr }
-func (s *sink) Handle(_ *Network, p *Packet) { s.got = append(s.got, p) }
+func (s *sink) Handle(_ *Network, p *Packet) { s.got = append(s.got, p.Clone()) }
 
 func newTestNet(t *testing.T) (*sim.Kernel, *Network) {
 	t.Helper()
@@ -384,5 +388,71 @@ func TestPacketClone(t *testing.T) {
 	q.Payload[0] = 9
 	if p.Payload[0] != 1 {
 		t.Error("Clone shares payload")
+	}
+}
+
+// TestDeliveredCopyIsZeroed shows the ownership rule's teeth: a node that
+// keeps the gateway's forwarded packet past Handle reads a zeroed Packet,
+// because the network takes the copy back after delivery.
+func TestDeliveredCopyIsZeroed(t *testing.T) {
+	k, n := newTestNet(t)
+	gw := NewGateway("lan:gw", "wan:home")
+	var kept *Packet
+	var during Packet
+	cloud := &FuncNode{Address: "wan:cloud", Fn: func(_ *Network, p *Packet) {
+		kept, during = p, *p
+	}}
+	n.Attach(gw, DefaultLAN())
+	n.Attach(gw.WANNode(), DefaultWAN())
+	n.Attach(cloud, DefaultWAN())
+	sent := &Packet{Src: "lan:dev", SrcPort: 1234, Dst: "wan:cloud", DstPort: 443, Size: 80, Payload: []byte("hi")}
+	if err := gw.SendOut(n, sent); err != nil {
+		t.Fatal(err)
+	}
+	k.Run(time.Second)
+	if kept == nil {
+		t.Fatal("cloud received nothing")
+	}
+	if during.Src != "wan:home" || string(during.Payload) != "hi" {
+		t.Errorf("during Handle the packet read %+v, want the NATted copy", during)
+	}
+	if !reflect.DeepEqual(*kept, Packet{}) {
+		t.Errorf("after Handle the kept packet reads %+v, want a zeroed Packet", *kept)
+	}
+	if kept == sent {
+		t.Error("the network delivered the sender's own packet")
+	}
+	if sent.Src != "lan:dev" || string(sent.Payload) != "hi" {
+		t.Errorf("the sender's packet changed: %+v", *sent)
+	}
+}
+
+// TestBroadcastDeterministic runs the same broadcast on identically seeded
+// networks and requires identical delivery logs: each destination draws
+// its jitter in address order, not in map order.
+func TestBroadcastDeterministic(t *testing.T) {
+	run := func() []string {
+		k, n := newTestNet(t)
+		var log []string
+		for i := 0; i < 12; i++ {
+			a := Addr(fmt.Sprintf("lan:n%02d", i))
+			n.Attach(&FuncNode{Address: a, Fn: func(_ *Network, p *Packet) {
+				log = append(log, fmt.Sprintf("%v %s", k.Now(), p.Dst))
+			}}, DefaultLAN())
+		}
+		n.Broadcast("lan:n00", func(dst Addr) *Packet {
+			return &Packet{Src: "lan:n00", Dst: dst, Proto: "UPnP", Size: 40}
+		})
+		k.Run(time.Second)
+		return log
+	}
+	first := run()
+	if len(first) != 11 {
+		t.Fatalf("delivered %d broadcasts, want 11", len(first))
+	}
+	for i := 0; i < 10; i++ {
+		if again := run(); !reflect.DeepEqual(again, first) {
+			t.Fatalf("run %d delivered\n%v\nfirst run delivered\n%v", i+2, again, first)
+		}
 	}
 }

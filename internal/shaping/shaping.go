@@ -128,8 +128,11 @@ type Shaper struct {
 	tracer *obs.Tracer
 
 	// Rate-equalisation state (ModeCombined).
-	queue    []queued
-	lastPkt  *netsim.Packet // template for dummies
+	queue []queued
+	// dummy is the template for cover cells: a copy of the last real
+	// packet's addressing, taken while the hook runs, because the packet
+	// itself belongs to the network once it is sent.
+	dummy    netsim.Packet
 	lastSend func(*netsim.Packet)
 	ticker   *sim.Ticker
 	idleRun  int
@@ -209,7 +212,11 @@ func (s *Shaper) GatewayHook() func(pkt *netsim.Packet, send func(*netsim.Packet
 				c.Size = cell
 				s.queue = append(s.queue, queued{pkt: c, at: now})
 			}
-			s.lastPkt = pkt
+			s.dummy = *pkt
+			s.dummy.Size = s.cfg.DummySize
+			s.dummy.Dummy = true
+			s.dummy.App = ""
+			s.dummy.Payload = nil
 			s.lastSend = send
 			s.idleRun = 0
 			if s.ticker == nil {
@@ -245,11 +252,7 @@ func (s *Shaper) emitCell() {
 		return // cover stream paused; next real packet resumes it
 	}
 	s.idleRun++
-	dummy := s.lastPkt.Clone()
-	dummy.Size = s.cfg.DummySize
-	dummy.Dummy = true
-	dummy.App = ""
-	dummy.Payload = nil
+	dummy := s.dummy.Clone()
 	s.stats.DummyPackets++
 	s.stats.DummyBytes += dummy.Size
 	s.traceShape("dummy", dummy, "cover")

@@ -333,3 +333,26 @@ func TestIdleBudgetPausesCover(t *testing.T) {
 		t.Errorf("dummies = %d, want exactly IdleBudget=3", dummy)
 	}
 }
+
+// BenchmarkShaperCombined measures the combined mode on the gateway: each
+// op hooks one real packet, then runs two cell ticks, which emit the
+// queued packet and then a dummy cover cell built from the template.
+func BenchmarkShaperCombined(b *testing.B) {
+	k := sim.NewKernel(1)
+	sh := New(k, Level(1))
+	hook := sh.GatewayHook()
+	var cells int
+	send := func(*netsim.Packet) { cells++ }
+	pkt := &netsim.Packet{Src: "wan:home", SrcPort: 40001, Dst: "wan:cloud.example", DstPort: 443, Proto: "TLS", Encrypted: true, Size: 201}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pkt.Size = 201
+		hook(pkt, send)
+		k.Step()
+		k.Step()
+	}
+	if st := sh.Stats(); cells != st.RealPackets+st.DummyPackets || st.DummyPackets == 0 {
+		b.Fatalf("%d cells sent for %d real packets and %d dummies", cells, st.RealPackets, st.DummyPackets)
+	}
+}

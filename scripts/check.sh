@@ -39,6 +39,7 @@ go test -run='^$' -fuzz='^FuzzCoreIngest$' -fuzztime=5s ./internal/core
 go test -run='^$' -fuzz='^FuzzCipherMatchesReference$' -fuzztime=5s ./internal/lwc
 go test -run='^$' -fuzz='^FuzzPipelineMatchesReference$' -fuzztime=5s ./internal/ids
 go test -run='^$' -fuzz='^FuzzAhoCorasick$' -fuzztime=5s ./internal/dpi
+go test -run='^$' -fuzz='^FuzzCaptureMatchesReference$' -fuzztime=5s ./internal/netsim
 
 echo '>> xlf-vet ./... (self-gate, baselined, strict on stale waivers)'
 go run ./cmd/xlf-vet -baseline vet-baseline.json -strict-baseline ./...

@@ -117,13 +117,13 @@ type System struct {
 	// application verification.
 	declaredRules map[string][]service.Rule
 
-	// attestOrder is the attestation sweep: every device with its LAN
-	// address, in sorted ID order, because signal ingestion order must
-	// not depend on map iteration, or traces (and any order-sensitive
-	// correlation) would differ between identically-seeded runs. The
-	// device set is fixed when the testbed is built, so it is computed
-	// once.
-	attestOrder []attestTarget
+	// deviceOrder is every device with its LAN address, in sorted ID
+	// order, for the attestation sweep and the volume tick: signal
+	// ingestion order must not depend on map iteration, or traces (and
+	// any order-sensitive correlation) would differ between
+	// identically-seeded runs. The device set is fixed when the testbed
+	// is built, so it is computed once.
+	deviceOrder []deviceRef
 
 	protected bool
 }
@@ -174,6 +174,16 @@ func New(opts Options) (*System, error) {
 
 	if !s.protected {
 		return s, nil
+	}
+
+	devIDs := make([]string, 0, len(home.Devices))
+	for id := range home.Devices {
+		devIDs = append(devIDs, id)
+	}
+	sort.Strings(devIDs)
+	s.deviceOrder = make([]deviceRef, len(devIDs))
+	for i, id := range devIDs {
+		s.deviceOrder[i] = deviceRef{id: id, lan: netsim.Addr("lan:" + id)}
 	}
 
 	// ----- XLF Core with containment wired to real enforcement. -----
@@ -321,14 +331,6 @@ func New(opts Options) (*System, error) {
 	if attest <= 0 {
 		attest = 30 * time.Second
 	}
-	devIDs := make([]string, 0, len(home.Devices))
-	for id := range home.Devices {
-		devIDs = append(devIDs, id)
-	}
-	sort.Strings(devIDs)
-	for _, id := range devIDs {
-		s.attestOrder = append(s.attestOrder, attestTarget{id: id, lan: netsim.Addr("lan:" + id)})
-	}
 	home.Kernel.Every(attest, attest/8, "xlf-attest", func() { s.attest() })
 
 	// ----- Architecture inventory for the figures. -----
@@ -463,12 +465,8 @@ func (s *System) onEvent(ev service.Event) {
 // device-layer corroboration signal on strong exceedance.
 func (s *System) volumeTick() {
 	now := s.Home.Kernel.Now()
-	ids := make([]string, 0, len(s.Home.Devices))
-	for id := range s.Home.Devices {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, dev := range s.deviceOrder {
+		id := dev.id
 		count := float64(s.uplinkCount[id])
 		s.uplinkCount[id] = 0
 		base := s.uplinkBase[id]
@@ -506,11 +504,12 @@ func (s *System) volumeTick() {
 	}
 }
 
-// recordRF notes radio activity for a device, keeping a short ring.
+// recordRF notes radio activity for a device, keeping its last 16 times.
+// The history is trimmed in place, so its backing array is reused.
 func (s *System) recordRF(dev string, at time.Duration) {
 	hist := append(s.rfSeen[dev], at)
 	if len(hist) > 16 {
-		hist = hist[len(hist)-16:]
+		hist = hist[:copy(hist, hist[len(hist)-16:])]
 	}
 	s.rfSeen[dev] = hist
 }
@@ -593,8 +592,8 @@ func (s *System) onCommand(cmd service.Command) {
 	}
 }
 
-// attestTarget is one device of the attestation sweep.
-type attestTarget struct {
+// deviceRef is one entry of System.deviceOrder.
+type deviceRef struct {
 	id  string
 	lan netsim.Addr
 }
@@ -603,7 +602,7 @@ type attestTarget struct {
 // malware detection (§IV-A4).
 func (s *System) attest() {
 	now := s.Home.Kernel.Now()
-	for _, tgt := range s.attestOrder {
+	for _, tgt := range s.deviceOrder {
 		id := tgt.id
 		d := s.Home.Devices[id]
 		if s.NAC.Blocked(tgt.lan) {
